@@ -201,15 +201,21 @@ class MemoryServer:
 
     def _release_batch(self, addrs, shard=0):
         arena = self.arenas[shard]
+        mr = self.arena_mr
         freed = 0
         for addr in addrs:
             try:
-                freed += arena.release(addr)
+                length = arena.release(addr)
             except RStoreError:
                 # The reservation predates an arena reset (we rejoined
                 # after a false-positive death and re-donated a clean
                 # arena); there is nothing left to free.
-                pass
+                continue
+            # The next tenant of these bytes must find them zeroed, like
+            # fresh DRAM (SenseBarrier.create relies on it).  Host work
+            # only: no simulated time is charged.
+            mr.buffer.zero(mr.offset_of(addr), length)
+            freed += length
         yield self.sim.timeout(0)
         return freed
 

@@ -10,8 +10,10 @@ validation (readers snapshot the slot, then re-check the word).  The
 protocol used to be inlined here; it now lives in ``repro.coord`` and
 this table is its heaviest user — one SeqLock view per slot, writer
 contention paced by the shared :class:`~repro.coord.Backoff`
-discipline.  Deletes leave a tombstone (``key_len`` of ``2**63-1``) so
-linear probing keeps finding later entries.
+discipline.  Views are stateless apart from their registry counters,
+so each slot's view is built once per mapping and reused.  Deletes
+leave a tombstone (``key_len`` of ``2**63-1``) so linear probing keeps
+finding later entries.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class RKVStore:
         self.value_size = value_size
         self.slot_size = self._slot_size(key_size, value_size)
         self._backoff = Backoff.for_client(client, f"kv-{name}")
+        #: slot offset -> its SeqLock view over ``self.mapping``
+        self._slot_locks: dict[int, SeqLock] = {}
         cfg = client.config
         #: per-op-class mode chooser, only under the adaptive policy
         self._selector = None
@@ -146,18 +150,23 @@ class RKVStore:
         return (index % self.slots) * self.slot_size
 
     def slot_lock(self, index: int) -> SeqLock:
-        """The SeqLock view over one slot (cheap, created per use).
+        """The SeqLock view over one slot (built on first use per mapping).
 
         Public because the transaction runtime (:mod:`repro.txn`)
         locks and publishes slots through the same per-slot version
         metadata the table's own writers use.
         """
-        return SeqLock(
-            self.mapping,
-            self._slot_offset(index),
-            self.slot_size - _WORD,
-            max_read_retries=_READ_RETRIES,
-        )
+        offset = self._slot_offset(index)
+        lock = self._slot_locks.get(offset)
+        if lock is None or lock.mapping is not self.mapping:
+            lock = SeqLock(
+                self.mapping,
+                offset,
+                self.slot_size - _WORD,
+                max_read_retries=_READ_RETRIES,
+            )
+            self._slot_locks[offset] = lock
+        return lock
 
     # kept for callers written against the pre-txn private name
     _slot_lock = slot_lock

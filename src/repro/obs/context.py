@@ -8,12 +8,14 @@ every constructor would churn the whole API.  Instead each
 construction and land on the same registry and tracer as everything
 else in that simulation.  The mapping is weak: contexts die with their
 simulators, and two simulations never share instruments (fresh
-``build_cluster`` ⇒ fresh counters ⇒ deterministic replay).
+``build_cluster`` ⇒ fresh counters ⇒ deterministic replay).  A context
+refers back to its simulator only weakly: a strong back-reference from
+a ``WeakKeyDictionary`` value would keep its own key alive forever.
 """
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, proxy, ref
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -25,9 +27,14 @@ class Observability:
     """One simulation's metrics registry plus its (optional) tracer."""
 
     def __init__(self, sim):
-        self.sim = sim
+        self._sim = ref(sim)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(sim, registry=self.metrics)
+        self.tracer = Tracer(proxy(sim), registry=self.metrics)
+
+    @property
+    def sim(self):
+        """The simulator (``None`` once it has been freed)."""
+        return self._sim()
 
 
 _contexts: "WeakKeyDictionary" = WeakKeyDictionary()

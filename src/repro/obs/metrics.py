@@ -187,6 +187,12 @@ class MetricsRegistry:
         #: name -> instrument class, so one name cannot be a counter on
         #: one host and a histogram on another
         self._kinds: dict[str, type] = {}
+        #: name -> {labels: instrument}, so per-name queries never scan
+        #: the whole registry
+        self._by_name: dict[str, dict[Labels, Instrument]] = {}
+        #: name -> its instruments in label order, rebuilt only after
+        #: a new label set registers under that name
+        self._sorted: dict[str, list[Instrument]] = {}
 
     # -- instrument creation -------------------------------------------------
 
@@ -218,6 +224,8 @@ class MetricsRegistry:
         made = cls(name, key[1], **kwargs)
         self._kinds[name] = cls
         self._instruments[key] = made
+        self._by_name.setdefault(name, {})[key[1]] = made
+        self._sorted.pop(name, None)
         return made
 
     # -- queries -------------------------------------------------------------
@@ -227,9 +235,17 @@ class MetricsRegistry:
         return self._instruments.get((name, _freeze(labels)))
 
     def series(self, name: str) -> list[Instrument]:
-        """Every labelled instrument registered under *name*."""
-        return [inst for (n, _), inst in sorted(self._instruments.items())
-                if n == name]
+        """Every labelled instrument registered under *name*, in label
+        order."""
+        return list(self._ordered(name))
+
+    def _ordered(self, name: str) -> list[Instrument]:
+        ordered = self._sorted.get(name)
+        if ordered is None:
+            found = self._by_name.get(name, {})
+            ordered = [found[labels] for labels in sorted(found)]
+            self._sorted[name] = ordered
+        return ordered
 
     def names(self) -> list[str]:
         return sorted(self._kinds)
@@ -239,11 +255,11 @@ class MetricsRegistry:
         kind = self._kinds.get(name)
         if kind is Histogram:
             raise TypeError(f"{name!r} is a histogram; use merged()")
-        return sum(inst.value for inst in self.series(name))
+        return sum(inst.value for inst in self._ordered(name))
 
     def merged(self, name: str) -> Histogram:
         """All of *name*'s labelled histograms folded into one."""
-        parts = self.series(name)
+        parts = self._ordered(name)
         if not parts or self._kinds.get(name) is not Histogram:
             raise KeyError(f"no histogram registered under {name!r}")
         out = Histogram(name, (), smallest=parts[0].smallest)

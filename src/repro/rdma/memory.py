@@ -69,6 +69,15 @@ class Buffer:
             )
         return bytes(self.data[offset : offset + length])
 
+    def zero(self, offset: int, length: int) -> None:
+        """Clear ``[offset, offset+length)`` back to zeros."""
+        if offset < 0 or length < 0 or offset + length > len(self.data):
+            raise RdmaError(
+                f"zero of {length} bytes at offset {offset} exceeds buffer "
+                f"of {len(self.data)} bytes"
+            )
+        self.data[offset : offset + length] = bytes(length)
+
 
 class SparseBuffer(Buffer):
     """A large allocation whose blocks materialize on first write.
@@ -136,6 +145,28 @@ class SparseBuffer(Buffer):
                 parts.append(bytes(block[block_off : block_off + take]))
             pos += take
         return b"".join(parts)
+
+    def zero(self, offset: int, length: int) -> None:
+        """Clear ``[offset, offset+length)``: blocks the range covers
+        wholly are dropped (they read back as zeros), partly covered
+        ones are cleared in place."""
+        end = offset + length
+        if offset < 0 or length < 0 or end > self._length:
+            raise RdmaError(
+                f"zero of {length} bytes at offset {offset} exceeds buffer "
+                f"of {self._length} bytes"
+            )
+        pos = offset
+        while pos < end:
+            block_no, block_off = divmod(pos, self.BLOCK)
+            take = min(self.BLOCK - block_off, end - pos)
+            block = self._blocks.get(block_no)
+            if block is not None:
+                if take == self.BLOCK:
+                    del self._blocks[block_no]
+                else:
+                    block[block_off : block_off + take] = bytes(take)
+            pos += take
 
 
 class HostMemory:

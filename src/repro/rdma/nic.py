@@ -13,7 +13,7 @@ ever touching the remote CPU model, and raises completions.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs import obs_for
 from repro.rdma.cq import CompletionQueue, WorkCompletion
@@ -228,8 +228,8 @@ class RNic:
             processing = max(0.0, processing - model.inline_saving_s)
         start = max(earliest, self._engine_busy_until)
         self._engine_busy_until = start + processing
-        self._after(
-            self._engine_busy_until - self.sim.now, lambda: self._launch(qp, wr)
+        self.sim.call_later(
+            self._engine_busy_until - self.sim.now, self._launch, (qp, wr)
         )
 
     def submit_many(self, qp: QueuePair, wrs: list[SendWR]) -> None:
@@ -259,10 +259,7 @@ class RNic:
                     and len(wr.inline_data) <= model.max_inline):
                 processing = max(0.0, processing - model.inline_saving_s)
             start += processing
-            self._after(
-                start - self.sim.now,
-                lambda qp=qp, wr=wr: self._launch(qp, wr),
-            )
+            self.sim.call_later(start - self.sim.now, self._launch, (qp, wr))
         self._engine_busy_until = start
 
     def kill(self) -> None:
@@ -271,10 +268,9 @@ class RNic:
 
     # -- internal helpers ----------------------------------------------------
 
-    def _after(self, delay: float, fn: Callable[[], None]) -> None:
-        self.sim.timeout(delay).add_callback(lambda _e: fn())
-
-    def _launch(self, qp: QueuePair, wr: SendWR) -> None:
+    def _launch(self, job: tuple[QueuePair, SendWR]) -> None:
+        """The engine reaches one WQE: put the operation on the wire."""
+        qp, wr = job
         if not self.alive:
             return  # a dead host sends nothing and nobody is listening
         tracer = self.obs.tracer
@@ -289,9 +285,9 @@ class RNic:
             if detail:
                 # injected wire fault: the op times out and errors the QP,
                 # exactly like losing the peer mid-flight
-                self._after(
+                self.sim.call_later(
                     self.model.retry_timeout_s,
-                    lambda: self._complete(
+                    lambda _: self._complete(
                         qp, wr, WcStatus.RETRY_EXC_ERR, detail=detail
                     ),
                 )
@@ -302,9 +298,9 @@ class RNic:
             # model the RC transport retry timer — if no completion has
             # been raised by then, the op fails with RETRY_EXC_ERR.
             # First completion wins (see the guard in ``_complete``).
-            self._after(
+            self.sim.call_later(
                 self.model.retry_timeout_s,
-                lambda: self._complete(
+                lambda _: self._complete(
                     qp, wr, WcStatus.RETRY_EXC_ERR,
                     detail="transport retries exhausted (partitioned?)",
                 ),
@@ -332,18 +328,33 @@ class RNic:
         offset = wr.local_mr.offset_of(wr.local_addr)
         return wr.local_mr.buffer.read(offset, wr.length)
 
-    def _transmit(self, dst: "RNic", nbytes: int, on_delivered: Callable[[], None]):
+    def _transmit(self, dst: "RNic", nbytes: int,
+                  on_delivered: Callable[[Any], None], arg: Any = None):
+        """Send *nbytes* to *dst*'s NIC; ``on_delivered(arg)`` runs when
+        the last frame lands."""
         self._m_bytes_sent.inc(nbytes)
-        self.network.transmit_message(
+        self.network.transmit_then(
             self.host,
             dst.host,
             nbytes,
+            on_delivered,
+            arg,
             header_bytes=self.model.frame_header_bytes,
-            on_delivered=on_delivered,
         )
 
-    def _send_control(self, dst: "RNic", on_delivered: Callable[[], None]):
-        self._transmit(dst, self.model.control_message_bytes, on_delivered)
+    def _send_control(self, dst: "RNic", on_delivered: Callable[[Any], None],
+                      arg: Any = None):
+        self._transmit(dst, self.model.control_message_bytes, on_delivered,
+                       arg)
+
+    def _acked(self, job: tuple) -> None:
+        """A success acknowledgement reached this (requesting) NIC: the
+        completion is raised one CQE write later."""
+        self.sim.call_later(self.model.completion_s, self._complete_ok, job)
+
+    def _complete_ok(self, job: tuple) -> None:
+        qp, wr, byte_len, atomic_result = job
+        self._complete(qp, wr, WcStatus.SUCCESS, byte_len, atomic_result)
 
     def _complete(
         self,
@@ -391,9 +402,9 @@ class RNic:
 
     def _schedule_retry_failure(self, qp: QueuePair, wr: SendWR) -> None:
         """The peer is unreachable: complete with RETRY_EXC after timeout."""
-        self._after(
+        self.sim.call_later(
             self.model.retry_timeout_s,
-            lambda: self._complete(
+            lambda _: self._complete(
                 qp,
                 wr,
                 WcStatus.RETRY_EXC_ERR,
@@ -424,9 +435,9 @@ class RNic:
         """Remote-side rejection: error response after a round trip."""
         remote._send_control(
             self,
-            lambda: self._after(
+            lambda _: self.sim.call_later(
                 self.model.completion_s,
-                lambda: self._complete(
+                lambda _: self._complete(
                     qp, wr, WcStatus.REM_ACCESS_ERR, detail=detail
                 ),
             ),
@@ -438,7 +449,7 @@ class RNic:
         remote = remote_qp.nic
         payload = self._snapshot_payload(wr)
 
-        def on_data_arrival():
+        def on_data_arrival(_):
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -447,7 +458,7 @@ class RNic:
                 self._nak(qp, wr, remote, err)
                 return
 
-            def do_dma():
+            def do_dma(_):
                 mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
                 if remote.rsan.enabled:
                     remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
@@ -460,17 +471,10 @@ class RNic:
                     else:
                         remote._match_recv(remote_qp, rwr, "imm", None,
                                            qp, wr)
-                remote._send_control(
-                    self,
-                    lambda: self._after(
-                        self.model.completion_s,
-                        lambda: self._complete(
-                            qp, wr, WcStatus.SUCCESS, byte_len=wr.length
-                        ),
-                    ),
-                )
+                remote._send_control(self, self._acked,
+                                     (qp, wr, wr.length, None))
 
-            self._after(remote.model.remote_dma_s, do_dma)
+            self.sim.call_later(remote.model.remote_dma_s, do_dma)
 
         self._transmit(remote, wr.bytes_on_wire, on_data_arrival)
 
@@ -479,7 +483,7 @@ class RNic:
     def _launch_read(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
         remote = remote_qp.nic
 
-        def on_request_arrival():
+        def on_request_arrival(_):
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -488,34 +492,24 @@ class RNic:
                 self._nak(qp, wr, remote, err)
                 return
 
-            def do_dma():
+            def do_dma(_):
                 data = mr.buffer.read(mr.offset_of(wr.remote_addr), wr.length)
                 if remote.rsan.enabled:
                     remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
                                          wr.length, "read", wr)
 
-                def on_response_arrival():
+                def on_response_arrival(_):
                     if wr.local_mr is not None and wr.length:
                         wr.local_mr.buffer.write(
                             wr.local_mr.offset_of(wr.local_addr), data
                         )
-                    self._after(
-                        self.model.completion_s,
-                        lambda: self._complete(
-                            qp, wr, WcStatus.SUCCESS, byte_len=wr.length
-                        ),
-                    )
+                    self.sim.call_later(self.model.completion_s,
+                                        self._complete_ok,
+                                        (qp, wr, wr.length, None))
 
-                remote._m_bytes_sent.inc(wr.bytes_on_wire)
-                remote.network.transmit_message(
-                    remote.host,
-                    self.host,
-                    wr.bytes_on_wire,
-                    header_bytes=remote.model.frame_header_bytes,
-                    on_delivered=on_response_arrival,
-                )
+                remote._transmit(self, wr.bytes_on_wire, on_response_arrival)
 
-            self._after(remote.model.remote_dma_s, do_dma)
+            self.sim.call_later(remote.model.remote_dma_s, do_dma)
 
         self._send_control(remote, on_request_arrival)
 
@@ -524,7 +518,7 @@ class RNic:
     def _launch_atomic(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
         remote = remote_qp.nic
 
-        def on_request_arrival():
+        def on_request_arrival(_):
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -536,7 +530,7 @@ class RNic:
                 self._nak(qp, wr, remote, "atomic target not 8-byte aligned")
                 return
 
-            def do_atomic():
+            def do_atomic(_):
                 offset = mr.offset_of(wr.remote_addr)
                 old = int.from_bytes(mr.buffer.read(offset, 8), "little")
                 if wr.opcode is Opcode.ATOMIC_CAS:
@@ -555,21 +549,9 @@ class RNic:
                 if remote.rsan.enabled:
                     remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
                                          8, "atomic", wr)
-                remote._send_control(
-                    self,
-                    lambda: self._after(
-                        self.model.completion_s,
-                        lambda: self._complete(
-                            qp,
-                            wr,
-                            WcStatus.SUCCESS,
-                            byte_len=8,
-                            atomic_result=old,
-                        ),
-                    ),
-                )
+                remote._send_control(self, self._acked, (qp, wr, 8, old))
 
-            self._after(
+            self.sim.call_later(
                 remote.model.remote_dma_s + remote.model.atomic_extra_s, do_atomic
             )
 
@@ -581,7 +563,7 @@ class RNic:
         remote = remote_qp.nic
         payload = self._snapshot_payload(wr)
 
-        def on_data_arrival():
+        def on_data_arrival(_):
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -613,9 +595,9 @@ class RNic:
         if kind == "imm":
             # data already landed one-sidedly; the receive just carries
             # the immediate and the byte count
-            self._after(
+            self.sim.call_later(
                 self.model.completion_s,
-                lambda: dst_qp.recv_cq.push(
+                lambda _: dst_qp.recv_cq.push(
                     WorkCompletion(
                         wr_id=rwr.wr_id,
                         status=WcStatus.SUCCESS,
@@ -642,9 +624,9 @@ class RNic:
             dst_qp.set_error("receive buffer too small")
             self._send_control(
                 src_nic,
-                lambda: src_nic._after(
+                lambda _: src_nic.sim.call_later(
                     src_nic.model.completion_s,
-                    lambda: src_nic._complete(
+                    lambda _: src_nic._complete(
                         src_qp,
                         swr,
                         WcStatus.REM_INV_REQ_ERR,
@@ -654,9 +636,9 @@ class RNic:
             )
             return
         rwr.local_mr.buffer.write(rwr.local_mr.offset_of(rwr.local_addr), payload)
-        self._after(
+        self.sim.call_later(
             self.model.completion_s,
-            lambda: dst_qp.recv_cq.push(
+            lambda _: dst_qp.recv_cq.push(
                 WorkCompletion(
                     wr_id=rwr.wr_id,
                     status=WcStatus.SUCCESS,
@@ -666,12 +648,5 @@ class RNic:
                 )
             ),
         )
-        self._send_control(
-            src_nic,
-            lambda: src_nic._after(
-                src_nic.model.completion_s,
-                lambda: src_nic._complete(
-                    src_qp, swr, WcStatus.SUCCESS, byte_len=swr.length
-                ),
-            ),
-        )
+        self._send_control(src_nic, src_nic._acked,
+                           (src_qp, swr, swr.length, None))

@@ -75,7 +75,7 @@ with it on or off, and the disabled path costs one attribute check.
 from __future__ import annotations
 
 import traceback
-from weakref import WeakKeyDictionary
+from weakref import WeakKeyDictionary, ref
 
 __all__ = [
     "Access",
@@ -219,7 +219,9 @@ class RaceSanitizer:
     """Happens-before race detection over simulated one-sided RDMA."""
 
     def __init__(self, sim):
-        self.sim = sim
+        # weak: the sanitizer lives in a map keyed weakly by *sim*, so
+        # a strong back-reference would keep the simulator alive forever
+        self._sim = ref(sim)
         self.enabled = False
         self.actors: dict[int, _Actor] = {}
         #: shadow store: server host id -> recorded accesses
@@ -231,6 +233,10 @@ class RaceSanitizer:
         #: transaction outcomes observed (see :meth:`txn_commit`)
         self.txn_commits = 0
         self.txn_aborts = 0
+
+    @property
+    def sim(self):
+        return self._sim()
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 A small, self-contained kernel in the style of simpy: simulated
 activities are Python generators ("processes") that ``yield`` events.
 The :class:`Simulator` owns the virtual clock and an event queue; it
-advances time by popping the earliest scheduled event and running its
-callbacks, which typically resume the processes waiting on it.
+advances time by popping the earliest scheduled entry and running it —
+for an event, its callbacks, which typically resume the processes
+waiting on it.
 
 Design notes
 ------------
@@ -13,14 +14,20 @@ Design notes
 * Events scheduled for the same instant run in FIFO order of scheduling
   (a monotonically increasing sequence number breaks heap ties), so
   simulations are fully deterministic.
+* A queue entry is ``(when, seq, fn, arg)`` and running it is one call,
+  ``fn(arg)``.  Events are entries whose ``fn`` is the :func:`_fire`
+  dispatcher; internal timers that only ever call one function
+  (:meth:`Simulator.call_later`) skip the event object altogether.
+  Either kind takes its sequence number at scheduling time, so both
+  interleave in one strict FIFO order per instant.
 * A failed event whose exception is never delivered to a waiting process
   re-raises out of :meth:`Simulator.run` — errors never pass silently.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Generator
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
@@ -36,6 +43,19 @@ __all__ = [
 ]
 
 _PENDING = object()
+
+
+def _fire(event: "Event") -> None:
+    """Process one event: run its callbacks, then surface an undelivered
+    failure.  The ``fn`` of every event entry in the queue."""
+    callbacks = event.callbacks
+    event.callbacks = None
+    event._processed = True
+    if callbacks:
+        for callback in callbacks:
+            callback(event)
+    if not event._ok and not event.defused:
+        raise event._value
 
 
 class SimulationError(Exception):
@@ -97,22 +117,26 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, scheduling it for *now*."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay=0.0)
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, sim._seq, _fire, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception, scheduling it for *now*."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay=0.0)
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._queue, (sim._now, sim._seq, _fire, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -123,7 +147,7 @@ class Event:
         being lost — this makes already-completed events safe to wait on.
         """
         if self._processed:
-            self.sim._schedule_call(callback, self)
+            self.sim.call_later(0.0, callback, self)
         else:
             assert self.callbacks is not None
             self.callbacks.append(callback)
@@ -145,11 +169,16 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ inlined: timeouts are the commonest event
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule(self, delay=delay)
+        self._ok = True
+        self._processed = False
+        self.defused = False
+        self.delay = delay
+        sim._seq += 1
+        heappush(sim._queue, (sim._now + delay, sim._seq, _fire, self))
 
 
 class Process(Event):
@@ -160,7 +189,7 @@ class Process(Event):
     process with ``result = yield proc``.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "_waiting_on", "name", "_resume_cb")
 
     def __init__(
         self, sim: "Simulator", generator: Generator, name: str = ""
@@ -171,12 +200,11 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
+        #: the bound resume callback, built once: every wait appends it
+        #: and ``interrupt`` removes it by identity
+        self._resume_cb = self._resume
         # Kick the process off at the current instant.
-        init = Event(sim)
-        init._ok = True
-        init._value = None
-        sim._schedule(init, delay=0.0)
-        init.add_callback(self._resume)
+        sim.call_later(0.0, self._resume_cb, _START)
 
     @property
     def is_alive(self) -> bool:
@@ -186,38 +214,31 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current instant."""
         if self.triggered:
             raise SimulationError(f"{self!r} has already terminated")
-        if self._waiting_on is None:
-            # The process is just starting (or being resumed this very
-            # instant); deliver the interrupt right after.
-            hit = Event(self.sim)
-            hit._ok = False
-            hit._value = Interrupt(cause)
-            hit.defused = True
-            self.sim._schedule(hit, delay=0.0)
-            hit.add_callback(self._resume)
-            return
         target = self._waiting_on
-        if target.callbacks is None:
-            # The awaited event has fired and the resume is already in
-            # flight; the interrupt arrives too late to matter.
-            return
-        if self._resume in target.callbacks:
-            target.callbacks.remove(self._resume)
-        self._waiting_on = None
+        if target is not None:
+            if target.callbacks is None:
+                # The awaited event has fired and the resume is already
+                # in flight; the interrupt arrives too late to matter.
+                return
+            if self._resume_cb in target.callbacks:
+                target.callbacks.remove(self._resume_cb)
+            self._waiting_on = None
+        # else the process is just starting (or being resumed this very
+        # instant); the interrupt is delivered right after.
         hit = Event(self.sim)
         hit._ok = False
         hit._value = Interrupt(cause)
         hit.defused = True
-        self.sim._schedule(hit, delay=0.0)
-        hit.add_callback(self._resume)
+        self.sim.call_later(0.0, self._resume_cb, hit)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             if not event._ok:
                 event.defused = True
             return
         self._waiting_on = None
-        self.sim._active_process = self
+        sim = self.sim
+        sim._active_process = self
         try:
             if event._ok:
                 target = self.generator.send(event._value)
@@ -225,16 +246,14 @@ class Process(Event):
                 event.defused = True
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
-            self.sim._active_process = None
+            sim._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.sim._active_process = None
-            self._ok = False
-            self._value = exc
-            self.sim._schedule(self, delay=0.0)
+            sim._active_process = None
+            self.fail(exc)
             return
-        self.sim._active_process = None
+        sim._active_process = None
         if not isinstance(target, Event):
             exc = SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may "
@@ -242,10 +261,25 @@ class Process(Event):
             )
             self.generator.throw(exc)
             raise exc
-        if target.sim is not self.sim:
+        if target.sim is not sim:
             raise SimulationError("cannot wait on an event from another simulator")
         self._waiting_on = target
-        target.add_callback(self._resume)
+        # Event.add_callback inlined
+        if target._processed:
+            sim.call_later(0.0, self._resume_cb, target)
+        else:
+            target.callbacks.append(self._resume_cb)
+
+
+class _Start:
+    """The stand-in event a new process is first resumed with."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
 
 
 class Condition(Event):
@@ -306,7 +340,9 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
+        #: ``(when, seq, fn, arg)`` entries; ``seq`` is unique, so
+        #: ordering never compares ``fn`` or ``arg``
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
 
@@ -339,34 +375,28 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+    def call_later(self, delay: float, fn: Callable[[Any], None],
+                   arg: Any = None) -> None:
+        """Run ``fn(arg)`` after *delay* simulated seconds.
 
-    def _schedule_call(self, callback: Callable[[Event], None], event: Event) -> None:
-        """Schedule a bare callback invocation at the current instant."""
-        proxy = Event(self)
-        proxy._ok = event._ok
-        proxy._value = event._value
-        proxy.defused = True
-        self._schedule(proxy, delay=0.0)
-        proxy.add_callback(lambda _e: callback(event))
+        The bare-callback form of ``timeout(delay).add_callback(...)``
+        for internal timers nobody waits on: no event object, no
+        callback list.  The entry takes its sequence number now, exactly
+        as an event scheduled now would, so it keeps the same place in
+        the FIFO order of its instant.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self._seq += 1
+        heappush(self._queue, (self._now + delay, self._seq, fn, arg))
 
     # -- execution ---------------------------------------------------------
 
     def step(self) -> None:
-        """Process the next scheduled event."""
-        when, _seq, event = heapq.heappop(self._queue)
+        """Run the next queue entry: the single per-entry dispatch point."""
+        when, _seq, fn, arg = heappop(self._queue)
         self._now = when
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        if not event._ok and not event.defused:
-            exc = event._value
-            raise exc
+        fn(arg)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -375,10 +405,11 @@ class Simulator:
         (commonly a :class:`Process`); in the latter case the event's
         value is returned.
         """
+        queue = self._queue
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
-                if not self._queue:
+            while not stop._processed:
+                if not queue:
                     raise SimulationError(
                         "event queue drained before the awaited event fired "
                         "(deadlock: a process is waiting on an event nobody "
@@ -389,7 +420,7 @@ class Simulator:
                 return stop._value
             raise stop._value
         deadline = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= deadline:
+        while queue and queue[0][0] <= deadline:
             self.step()
         if until is not None and self._now < deadline:
             self._now = deadline

@@ -5,7 +5,7 @@ model is deliberately simple: every host has a full-duplex link to one
 switch with an uncongested backplane.  Congestion therefore happens
 exactly where it does on such a pod — at host egress and host ingress.
 
-A frame's journey is computed analytically at send time (one simulator
+A frame's journey is computed analytically at send time (no simulator
 event per frame): serialize on the sender's egress channel, cross two
 propagation hops plus the switch latency, serialize on the receiver's
 ingress channel.
@@ -13,7 +13,7 @@ ingress channel.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.simnet.config import NetworkConfig
 from repro.simnet.cpu import Cpu
@@ -142,8 +142,43 @@ class Network:
         deferred to the first frame's arrival: receiver-side channel
         time is claimed in arrival order, so concurrent senders share a
         hot receiver fairly instead of in send-call order.  Cost: two
-        simulator events per message regardless of frame count.
+        internal timers per message regardless of frame count, plus the
+        returned event.
         """
+        done = Event(self.sim)
+        if self._carry(src, dst, nbytes, frame_size, header_bytes,
+                       done.succeed, None) and on_delivered is not None:
+            done.add_callback(lambda _e: on_delivered())
+        return done
+
+    def transmit_then(
+        self,
+        src: Host,
+        dst: Host,
+        nbytes: int,
+        fn: Callable[[Any], None],
+        arg: Any = None,
+        header_bytes: int = 0,
+    ) -> None:
+        """:meth:`transmit_message` for callers that never wait on the
+        event: ``fn(arg)`` runs in exactly the queue slot (same instant,
+        same sequence number) where the event would have fired, without
+        building it.  The NIC's data path sends every message this way.
+        """
+        self._carry(src, dst, nbytes, None, header_bytes,
+                    self._land, (fn, arg))
+
+    def _land(self, job: tuple) -> None:
+        # the delivery hop: queued at the last frame's ingress finish,
+        # where transmit_message's event is triggered
+        self.sim.call_later(0.0, job[0], job[1])
+
+    def _carry(self, src: Host, dst: Host, nbytes: int,
+               frame_size: Optional[int], header_bytes: int,
+               then: Callable[[Any], None], arg: Any) -> bool:
+        """Account and time one message; ``then(arg)`` runs when its last
+        frame has left the receiver's ingress.  False if the fabric ate
+        it (``then`` never runs)."""
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
         sim = self.sim
@@ -153,21 +188,18 @@ class Network:
             and self.fault_filter(src.host_id, dst.host_id)
         ):
             # partitioned: the message vanishes in the fabric; no bytes
-            # are accounted and the returned event never fires — loss is
-            # the caller's (transport's) problem, as on a real network
+            # are accounted and delivery never happens — loss is the
+            # caller's (transport's) problem, as on a real network
             self.messages_dropped += 1
-            return Event(sim)
+            return False
         frame_size = frame_size or self.config.frame_size
         nframes = max(1, -(-nbytes // frame_size))
         wire_bytes = nbytes + nframes * header_bytes
         self.bytes_carried += wire_bytes
         self.frames_carried += nframes
-        done = Event(sim)
         if src is dst:
             finish = src.loopback.reserve(nbytes, earliest=sim.now)
-            sim.timeout(finish - sim.now).add_callback(
-                lambda _e: done.succeed()
-            )
+            sim.call_later(finish - sim.now, then, arg)
         else:
             src_rack = self.rack_of(src)
             dst_rack = self.rack_of(dst)
@@ -191,7 +223,7 @@ class Network:
                 frames.append((frame_bytes, out_done))
             first_arrival = frames[0][1] + base
 
-            def claim_ingress(_event):
+            def claim_ingress(_arg):
                 # receiver-side chain, claimed in arrival order: the
                 # rack downlink (cross-rack only), then host ingress
                 last = sim.now
@@ -200,14 +232,10 @@ class Network:
                     if cross_rack:
                         at = dst_rack.down.reserve(frame_bytes, earliest=at)
                     last = dst.ingress.reserve(frame_bytes, earliest=at)
-                sim.timeout(last - sim.now).add_callback(
-                    lambda _e: done.succeed()
-                )
+                sim.call_later(last - sim.now, then, arg)
 
-            sim.timeout(first_arrival - sim.now).add_callback(claim_ingress)
-        if on_delivered is not None:
-            done.add_callback(lambda _e: on_delivered())
-        return done
+            sim.call_later(first_arrival - sim.now, claim_ingress)
+        return True
 
     def aggregate_bandwidth_bps(self, since: float = 0.0) -> float:
         """Total payload bandwidth carried since *since* (bits/s)."""

@@ -19,7 +19,9 @@ deterministic outcome to check against.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import struct
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
@@ -145,14 +147,17 @@ def apply_to_model(model: bytearray, op):
 
 
 def run_schedule(seed: int, trace: bool = False, groups: int = 24,
-                 sanitize: bool = False) -> dict:
+                 sanitize: bool = False, record_order: bool = False) -> dict:
     """Build a cluster, run the seed's schedule, check every result.
 
     Returns a digest (op results, final bytes, final simulated time,
     span count, race count) so callers can compare two runs of the
     same seed.  ``sanitize=True`` runs the whole schedule under RSan;
     the single sequential client is race-free by construction, so any
-    report is a sanitizer bug.
+    report is a sanitizer bug.  ``record_order=True`` adds ``events``
+    (simulator steps taken) and ``order``, a hash of the simulated
+    time after every step plus every recorded span in recording order
+    — a fingerprint of the exact event order, not just its outcome.
     """
     rng = random.Random(seed)
     stripe = rng.choice((8, 16)) * KiB
@@ -168,6 +173,19 @@ def run_schedule(seed: int, trace: bool = False, groups: int = 24,
     if trace:
         tracer.enable()
     rsan = rsan_for(cluster.sim)
+    order = hashlib.blake2b(digest_size=16)
+    steps = 0
+    if record_order:
+        sim = cluster.sim
+        step = sim.step
+
+        def recording_step():
+            nonlocal steps
+            step()
+            steps += 1
+            order.update(struct.pack("<d", sim.now))
+
+        sim.step = recording_step
     client = cluster.client(1)
     model = bytearray(region_size)
     results: list = []
@@ -227,7 +245,7 @@ def run_schedule(seed: int, trace: bool = False, groups: int = 24,
             f"seed {seed}: sanitizer reported races on a race-free "
             f"schedule:\n{rsan.report()}"
         )
-    return {
+    out = {
         "results": results,
         "final": bytes(final),
         "now": cluster.sim.now,
@@ -235,3 +253,10 @@ def run_schedule(seed: int, trace: bool = False, groups: int = 24,
         "spans": len(tracer.spans),
         "races": len(rsan.races),
     }
+    if record_order:
+        for span in tracer.spans:
+            order.update(repr((span.name, span.start, span.end,
+                               sorted(span.attrs.items()))).encode())
+        out["events"] = steps
+        out["order"] = order.hexdigest()
+    return out

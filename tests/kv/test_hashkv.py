@@ -349,3 +349,29 @@ def test_matches_dict_reference(ops):
             assert (yield from store.get(key)) == value
 
     cluster.run_app(app())
+
+
+def test_slot_lock_views_are_reused_per_mapping(cluster):
+    store = make_store(cluster, "views", slots=16)
+    lock = store.slot_lock(3)
+    # same slot (index wraps modulo the table size) -> the same view
+    assert store.slot_lock(3) is lock
+    assert store.slot_lock(3 + store.slots) is lock
+    assert store.slot_lock(4) is not lock
+    client = cluster.client(1)
+
+    def remap():
+        return (yield from client.map("kv.views"))
+
+    store.mapping = cluster.run_app(remap())
+    fresh = store.slot_lock(3)
+    assert fresh is not lock and fresh.mapping is store.mapping
+    assert fresh.offset == lock.offset
+    # the views share the slot's registry counters
+    assert fresh._m_read_retries is lock._m_read_retries
+
+    def app():
+        yield from store.put(b"k", b"v")
+        return (yield from store.get(b"k"))
+
+    assert cluster.run_app(app()) == b"v"

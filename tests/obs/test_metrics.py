@@ -136,3 +136,39 @@ def test_snapshot_is_plain_data():
     assert snap["x.ops"]["host=1"] == 2
     count, mean, _p50, _p99, maximum = snap["x.lat"]["-"]
     assert count == 1 and mean == 5e-6 and maximum == 5e-6
+
+
+def test_series_is_label_sorted_whatever_the_registration_order():
+    reg = MetricsRegistry()
+    for host in (3, 1, 10, 2):
+        reg.counter("x.ops", host=host).inc(host)
+    reg.counter("x.other", host=0)
+    reg.counter("x.ops", host=1, region="b")
+    reg.counter("x.ops", host=1, region="a")
+    labels = [inst.labels for inst in reg.series("x.ops")]
+    assert labels == sorted(labels)
+    # label values are strings, so "10" sorts between "1" and "2"
+    assert [dict(lbl)["host"] for lbl in labels] == \
+        ["1", "1", "1", "10", "2", "3"]
+    # the same order the full (name, labels) sort of the registry gives
+    assert reg.series("x.ops") == [
+        inst for inst in sorted(reg, key=lambda i: (i.name, i.labels))
+        if inst.name == "x.ops"]
+    assert reg.total("x.ops") == 16
+
+
+def test_series_sees_instruments_registered_after_a_query():
+    reg = MetricsRegistry()
+    assert reg.series("x.ops") == []
+    assert reg.total("x.ops") == 0
+    reg.counter("x.ops", host=2).inc(2)
+    first = reg.series("x.ops")
+    reg.counter("x.ops", host=1).inc(1)
+    assert [dict(i.labels)["host"] for i in reg.series("x.ops")] == ["1", "2"]
+    assert reg.total("x.ops") == 3
+    # a returned series is the caller's copy
+    first.clear()
+    assert len(reg.series("x.ops")) == 2
+    reg.histogram("x.lat", host=1).observe(1e-6)
+    reg.histogram("x.lat", host=0).observe(3e-6)
+    assert reg.merged("x.lat").count == 2
