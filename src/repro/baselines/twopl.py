@@ -157,8 +157,12 @@ class TwoPhaseLocking:
                 raise TwoPLError(
                     f"updates for undeclared keys: {sorted(unknown)}"
                 )
-            # -- write + shrinking phase: publish changed, restore rest
-            for lock, word, key, _index in held:
+            # -- write + shrinking phase: publish changed, restore rest.
+            # Each slot leaves ``held`` before its write: a failure
+            # part-way must never roll back a slot whose body may
+            # already have changed (its version would name the old body)
+            while held:
+                lock, word, key, _index = held.pop(0)
                 if key in updates:
                     body = store._encode_body(key, updates[key])
                     yield from self._replay(
@@ -172,7 +176,6 @@ class TwoPhaseLocking:
                         lambda lock=lock, word=word: lock.abort(word),
                         replay,
                     )
-            held = []
             self._m_commits.inc()
             self._m_commit_s.observe(sim.now - start)
             return updates

@@ -28,6 +28,18 @@ ambiguous CAS completion (the NIC may or may not have applied it) is
 resolved with one follow-up read of the word — the RemoteLock
 discipline, applied to the version word.  Readers are oblivious: any
 odd value means "writer in flight".
+
+**Version memo.**  Each view remembers ``(version, body)`` from its
+last validated read, or from its own full-body :meth:`publish`, tied
+to the mapping's descriptor at the time (a remap drops it).  When a
+later snapshot carries that same even version the validation READ is
+skipped and the memo body is returned: the 8-byte version word is read
+atomically, and at the instant it reads *v* the record holds exactly
+the body published with *v*.  That rests on one invariant — every body
+mutation bumps the version (kv put/delete, txn and 2PL publishes and
+the server-op put all do; an abort restores *v* with the body
+untouched) — so a repeated version names a repeated body.  The memo
+body, not the possibly torn snapshot body, is what the caller gets.
 """
 
 from __future__ import annotations
@@ -60,6 +72,14 @@ class SeqLock:
                                           **_labels)
         self._m_lock_failures = _m.counter("coord.seqlock.lock_failures",
                                            **_labels)
+        # per region and host, not per record: one instrument per slot
+        # would bloat the registry for no extra insight
+        self._m_skipped = _m.counter("coord.seqlock.validations_skipped",
+                                     region=mapping.name,
+                                     host=mapping.client.nic.host.host_id)
+        #: ``(version, body, desc)`` this view knows to be consistent,
+        #: or None
+        self._memo = None
 
     def _sync_key(self, version: int) -> tuple:
         """The happens-before key of one published version: a validated
@@ -78,8 +98,40 @@ class SeqLock:
         return int(self._m_lock_failures.value)
 
     @property
+    def validations_skipped(self) -> int:
+        """Reads of this view's region and host the memo answered
+        without a validation READ (shared by every view there)."""
+        return int(self._m_skipped.value)
+
+    @property
+    def warm(self) -> bool:
+        """Whether this view holds a memo (it has validated or fully
+        published a version since its last remap)."""
+        return (self._memo is not None
+                and self._memo[2] is self.mapping.desc)
+
+    @property
     def record_size(self) -> int:
         return _WORD + self.body_size
+
+    # -- the version memo -------------------------------------------------------
+
+    def memo_body(self, version: int):
+        """The remembered body of even *version*, or None (and counts a
+        skipped validation on a hit).  Callers that take their own
+        snapshots — batched readers — use this to skip validating
+        one."""
+        memo = self._memo
+        if (memo is None or memo[0] != version
+                or memo[2] is not self.mapping.desc):
+            return None
+        self._m_skipped.inc()
+        return memo[1]
+
+    def remember(self, version: int, body: bytes, desc) -> None:
+        """Record a validated ``(version, body)`` read under *desc*, the
+        descriptor the snapshot was taken through."""
+        self._memo = (version, bytes(body), desc)
 
     # -- setup (control path, standalone use) --------------------------------
 
@@ -107,22 +159,32 @@ class SeqLock:
         Retries while a writer is in flight; raises :class:`CoordError`
         after ``max_read_retries`` racing reads (livelock that long in
         simulation means a writer died holding the word).
+
+        A snapshot whose version the memo already holds skips the
+        validation READ and returns the memo body.
         """
-        client = self.mapping.client
+        mapping = self.mapping
+        client = mapping.client
         rsan = client.rsan
         for _attempt in range(self.max_read_retries):
+            desc = mapping.desc
             with rsan.exempt(client._rsan_actor):
-                blob = yield from self.mapping.read(self.offset,
-                                                    self.record_size)
+                blob = yield from mapping.read(self.offset, self.record_size)
                 version = int.from_bytes(blob[:_WORD], "little")
                 if version % 2 == 1:
                     self._m_read_retries.inc()
                     continue
-                check = yield from self.mapping.read(self.offset, _WORD)
-            if int.from_bytes(check, "little") == version:
-                rsan.sync_acquire(client._rsan_actor, self._sync_key(version))
-                return version, blob[_WORD:]
-            self._m_read_retries.inc()
+                body = self.memo_body(version)
+                if body is None:
+                    check = yield from mapping.read(self.offset, _WORD)
+            if body is None:
+                if int.from_bytes(check, "little") != version:
+                    self._m_read_retries.inc()
+                    continue
+                body = blob[_WORD:]
+                self.remember(version, body, desc)
+            rsan.sync_acquire(client._rsan_actor, self._sync_key(version))
+            return version, body
         raise CoordError(
             f"record at offset {self.offset} kept changing under "
             f"{self.max_read_retries} reads"
@@ -175,7 +237,11 @@ class SeqLock:
         (generator).  ``locked_version`` is the odd value we CAS'd in
         (``version + 1``, or the caller's unique token).  Token holders
         must pass *new_version* explicitly (the pre-lock version + 2);
-        by default the next even version is ``locked_version + 1``."""
+        by default the next even version is ``locked_version + 1``.
+
+        A full-length *body* becomes this view's memo once the version
+        write lands; a shorter one leaves part of the record unknown,
+        so the memo is dropped instead."""
         if locked_version % 2 == 0:
             raise CoordError("publishing a record we never locked")
         if new_version is None:
@@ -185,22 +251,27 @@ class SeqLock:
                 f"published version {new_version} must be a positive "
                 "even value"
             )
-        client = self.mapping.client
+        if len(body) > self.body_size:
+            raise CoordError(
+                f"body of {len(body)} bytes exceeds record body "
+                f"{self.body_size}"
+            )
+        mapping = self.mapping
+        client = mapping.client
         rsan = client.rsan
+        desc = mapping.desc
+        self._memo = None
         # release under the version we are about to publish, before the
         # writes leave: readers validating it join this clock
         rsan.sync_release(client._rsan_actor, self._sync_key(new_version))
         with rsan.exempt(client._rsan_actor):
             if body:
-                if len(body) > self.body_size:
-                    raise CoordError(
-                        f"body of {len(body)} bytes exceeds record body "
-                        f"{self.body_size}"
-                    )
-                yield from self.mapping.write(self.offset + _WORD, body)
-            yield from self.mapping.write(
+                yield from mapping.write(self.offset + _WORD, body)
+            yield from mapping.write(
                 self.offset, new_version.to_bytes(8, "little")
             )
+        if len(body) == self.body_size:
+            self.remember(new_version, body, desc)
 
     def abort(self, original_version: int):
         """Drop the write lock without mutating (generator): restore

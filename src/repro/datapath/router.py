@@ -303,20 +303,35 @@ class DataPathRouter:
             f"kv put of {key!r} kept racing writers")
 
     def _kv_put_once(self, store, base: int, key: bytes, value: bytes):
+        fields = dict(key=key, value=value, key_size=store.key_size,
+                      value_size=store.value_size)
+        #: ``(host_id, slot)`` of the chain's first tombstone, claimed
+        #: only once the chain proves the key absent
+        tomb = None
         for host_id, slots in self._probe_runs(store.mapping.desc, store,
                                                base):
-            request = self._request(
-                "kv_put", store.mapping, key=key, value=value, slots=slots,
-                key_size=store.key_size, value_size=store.value_size,
-            )
+            request = self._request("kv_put", store.mapping, slots=slots,
+                                    tomb_seen=tomb is not None, **fields)
             reply = yield from self._call(host_id, request)
             tag = reply[0]
             if tag == "stored":
                 return True
             if tag == "busy":
                 raise _BusySlot()
-            # ("continue",): no eligible slot in this run
-        return False  # probe window exhausted: table full for this key
+            if tag == "absent":
+                break  # the chain ended; the key is nowhere in it
+            # ("continue", slot|None): no key or chain end in this run
+            if tomb is None and reply[1] is not None:
+                tomb = (host_id, reply[1])
+        if tomb is None:
+            return False  # probe window exhausted: table full for this key
+        host_id, slot = tomb
+        request = self._request("kv_put", store.mapping, slots=[slot],
+                                claim=True, **fields)
+        reply = yield from self._call(host_id, request)
+        if reply[0] != "stored":
+            raise _BusySlot()  # a racer took the tombstone: re-probe
+        return True
 
     def kv_multi_get(self, store, keys: list, fetch: bool = False):
         """Batched server-side lookups (generator), values in key order.

@@ -188,11 +188,23 @@ class ServerOpExecutor:
         return outcome  # ("busy",) or ("continue",)
 
     def _kv_put(self, req: dict):
+        """Store into the key's own slot if this run holds it, else into
+        the first tombstone, else into the never-used slot ending the
+        chain — the one-sided writer's choice, so a key is never stored
+        twice.  ``tomb_seen`` says an earlier run already offered a
+        tombstone: a never-used slot here then answers ``("absent",)``
+        and the router claims that tombstone (``claim``: store into the
+        request's one slot unless a racer took it for another key)."""
         key, value = req["key"], req["value"]
         key_size, value_size = req["key_size"], req["value_size"]
         size = ops.slot_size(key_size, value_size)
         body = ops.encode_body(key, value, key_size, value_size,
                                tombstone=req.get("tombstone", False))
+        if req.get("claim"):
+            slot_off, addr = req["slots"][0]
+            return (yield from self._kv_store(req, body, size, slot_off,
+                                              addr))
+        tomb = None
         for slot_off, addr in req["slots"]:
             yield from self.cpu.copy(size)
             blob = self._snapshot(addr, size)
@@ -203,34 +215,49 @@ class ServerOpExecutor:
                                    self._sync_key(req, slot_off, version))
             key_len, slot_key, _val = ops.parse_body(blob[ops.WORD:],
                                                      key_size)
-            if key_len not in (0, ops.TOMBSTONE) and slot_key != key:
+            if key_len == ops.TOMBSTONE:
+                if tomb is None:
+                    tomb = (slot_off, addr)
+                continue
+            if key_len == 0:
+                if tomb is None and req.get("tomb_seen"):
+                    return ("absent",)
+                target = tomb or (slot_off, addr)
+            elif slot_key == key:
+                target = (slot_off, addr)
+            else:
                 continue  # occupied by another key: keep probing
-            # claim this slot.  Charge the publish copy first (it
-            # yields), then re-validate + write in one atomic block.
-            yield from self.cpu.copy(size)
-            blob = self._snapshot(addr, size)
-            cur_version = int.from_bytes(blob[:ops.WORD], "little")
-            if cur_version % 2 == 1:
-                return ("busy",)
-            cur_len, cur_key, _val = ops.parse_body(blob[ops.WORD:],
-                                                    key_size)
-            if cur_len not in (0, ops.TOMBSTONE) and cur_key != key:
-                return ("busy",)  # a racer claimed it for another key
-            new_version = cur_version + 2
-            actor = req["actor"]
-            # lock + publish edges at the apply instant — identical to
-            # the one-sided try_lock/publish pair, with no observable
-            # odd-version window because nothing yields in between
-            self.rsan.sync_acquire(
-                actor, self._sync_key(req, slot_off, cur_version))
-            self.rsan.sync_release(
-                actor, self._sync_key(req, slot_off, new_version))
-            self.mr.buffer.write(
-                self.mr.offset_of(addr),
-                new_version.to_bytes(ops.WORD, "little") + body,
-            )
-            return ("stored", new_version)
-        return ("continue",)
+            return (yield from self._kv_store(req, body, size, *target))
+        return ("continue", tomb)
+
+    def _kv_store(self, req: dict, body: bytes, size: int, slot_off: int,
+                  addr: int):
+        """Claim one slot for the request's key (generator).  Charge the
+        publish copy first (it yields), then re-validate + write in one
+        atomic block."""
+        yield from self.cpu.copy(size)
+        blob = self._snapshot(addr, size)
+        cur_version = int.from_bytes(blob[:ops.WORD], "little")
+        if cur_version % 2 == 1:
+            return ("busy",)
+        cur_len, cur_key, _val = ops.parse_body(blob[ops.WORD:],
+                                                req["key_size"])
+        if cur_len not in (0, ops.TOMBSTONE) and cur_key != req["key"]:
+            return ("busy",)  # a racer claimed it for another key
+        new_version = cur_version + 2
+        actor = req["actor"]
+        # lock + publish edges at the apply instant — identical to
+        # the one-sided try_lock/publish pair, with no observable
+        # odd-version window because nothing yields in between
+        self.rsan.sync_acquire(
+            actor, self._sync_key(req, slot_off, cur_version))
+        self.rsan.sync_release(
+            actor, self._sync_key(req, slot_off, new_version))
+        self.mr.buffer.write(
+            self.mr.offset_of(addr),
+            new_version.to_bytes(ops.WORD, "little") + body,
+        )
+        return ("stored", new_version)
 
     def _kv_multi_get(self, req: dict):
         """Batched lookups whose whole probe chain lives on this host."""

@@ -10,10 +10,13 @@ validation (readers snapshot the slot, then re-check the word).  The
 protocol used to be inlined here; it now lives in ``repro.coord`` and
 this table is its heaviest user — one SeqLock view per slot, writer
 contention paced by the shared :class:`~repro.coord.Backoff`
-discipline.  Views are stateless apart from their registry counters,
-so each slot's view is built once per mapping and reused.  Deletes
-leave a tombstone (``key_len`` of ``2**63-1``) so linear probing keeps
-finding later entries.
+discipline.  Each slot's view is built once per mapping and reused:
+it carries the slot's version memo, so a get that snapshots a version
+this client already validated (or published) costs one READ per probe
+instead of two.  Deletes leave a tombstone (``key_len`` of
+``2**63-1``) so linear probing keeps finding later entries; a put
+probes on to the key or to a never-used slot before it reuses the
+first tombstone, so a key is never stored twice.
 """
 
 from __future__ import annotations
@@ -69,6 +72,9 @@ class RKVStore:
         self._backoff = Backoff.for_client(client, f"kv-{name}")
         #: slot offset -> its SeqLock view over ``self.mapping``
         self._slot_locks: dict[int, SeqLock] = {}
+        #: validations of slots whose view held no memo yet: the memo's
+        #: one-time warm-up, which the adaptive selector treats as setup
+        self._first_touches = 0
         cfg = client.config
         #: per-op-class mode chooser, only under the adaptive policy
         self._selector = None
@@ -199,6 +205,8 @@ class RKVStore:
     def _read_slot(self, index: int):
         """Optimistically read one consistent slot snapshot (generator)."""
         lock = self._slot_lock(index)
+        if not lock.warm:
+            self._first_touches += 1
         # slot views share one registry counter per slot, so fold in the
         # *delta* this view added, not its cumulative value
         before = lock.read_retries
@@ -240,15 +248,19 @@ class RKVStore:
         policy = self.mapping.path_policy
         if policy == PathPolicy.ADAPTIVE:
             return (self._selector.choose(op_class, modes),
-                    (self.client.sim.now, self.client.setup_events))
+                    (self.client.sim.now, self.client.setup_events,
+                     self._first_touches))
         return policy, None
 
     def _done(self, op_class: str, mode: str, token) -> None:
         if token is not None:
-            started_at, setup_before = token
+            started_at, setup_before, touches_before = token
+            # an op that warmed a slot's memo paid a one-time cost, like
+            # a first dial: ranking modes on it would undersell one-sided
             self._selector.observe(
                 op_class, mode, self.client.sim.now - started_at,
-                cold=self.client.setup_events != setup_before,
+                cold=(self.client.setup_events != setup_before
+                      or self._first_touches != touches_before),
             )
 
     def put(self, key: bytes, value: bytes):
@@ -274,13 +286,25 @@ class RKVStore:
         base = _hash64(key)
         self._backoff.reset()
         while True:
-            target = None
+            # the key's own slot if it exists; otherwise the first
+            # tombstone, else the never-used slot that ends the chain —
+            # claiming a tombstone before the key would store it twice
+            target = tomb = None
             for probe in range(_PROBE_LIMIT):
                 index = (base + probe) % self.slots
                 version, key_len, slot_key, _v = yield from self._read_slot(index)
-                if key_len == 0 or key_len == _TOMBSTONE or slot_key == key:
+                if key_len == _TOMBSTONE:
+                    if tomb is None:
+                        tomb = (index, version)
+                    continue
+                if key_len == 0:
+                    target = tomb or (index, version)
+                    break
+                if slot_key == key:
                     target = (index, version)
                     break
+            else:
+                target = tomb
             if target is None:
                 raise KvFullError(
                     f"no slot for key within {_PROBE_LIMIT} probes"
@@ -343,9 +367,11 @@ class RKVStore:
         instead of blocking per slot: one round snapshots each pending
         key's candidate slot, a second batched round re-reads the
         version words to validate the snapshots — the SeqLock
-        optimistic-read protocol, amortized across all keys.  Keys that
-        race a writer (odd or changed version) re-probe the same slot
-        next round; the per-slot retry budget matches :meth:`get`.
+        optimistic-read protocol, amortized across all keys.  Snapshots
+        whose version the slot's memo already holds skip that round
+        (and a round they all skip posts no batch).  Keys that race a
+        writer (odd or changed version) re-probe the same slot next
+        round; the per-slot retry budget matches :meth:`get`.
 
         Under a server-side policy the whole batch ships as per-host
         composite ops instead (see ``DataPathRouter.kv_multi_get``).
@@ -383,7 +409,20 @@ class RKVStore:
                     f"{_READ_RETRIES} reads"
                 )
 
+        def settle(i, body) -> bool:
+            """Apply one consistent slot body; True ends key *i*."""
+            key_len, slot_key, value = self._parse_body(body)
+            if key_len == 0:
+                return True  # never-used slot ends the chain
+            if key_len != _TOMBSTONE and slot_key == keys[i]:
+                results[i] = value
+                return True
+            probes[i] += 1
+            tries[i] = 0
+            return probes[i] >= _PROBE_LIMIT
+
         while pending:
+            desc = self.mapping.desc
             snap = self.client.batch()
             futs = {}
             for i in pending:
@@ -392,39 +431,37 @@ class RKVStore:
                     self.slot_size,
                 )
             yield from snap.flush()
-            snapshots = {}
+            settled = []
+            unvalidated = {}
             for i in pending:
                 blob = yield from futs[i].wait()
                 version = int.from_bytes(blob[:_WORD], "little")
                 if version % 2 == 1:
                     raced(i)  # writer mid-publish: re-probe next round
                     continue
-                snapshots[i] = (version, blob)
-            if not snapshots:
-                continue
-            check = self.client.batch()
-            vfuts = {}
-            for i in snapshots:
-                vfuts[i] = yield from check.read(
-                    self.mapping, self._slot_offset(slot_of(i)), _WORD
-                )
-            yield from check.flush()
-            settled = []
-            for i, (version, blob) in snapshots.items():
-                word = yield from vfuts[i].wait()
-                if int.from_bytes(word, "little") != version:
-                    raced(i)  # a writer published between the reads
-                    continue
-                key_len, slot_key, value = self._parse_body(blob[_WORD:])
-                if key_len == 0:
-                    settled.append(i)  # never-used slot ends the chain
-                elif key_len != _TOMBSTONE and slot_key == keys[i]:
-                    results[i] = value
+                lock = self.slot_lock(slot_of(i))
+                body = lock.memo_body(version)
+                if body is None:
+                    unvalidated[i] = (version, blob, lock)
+                elif settle(i, body):
                     settled.append(i)
-                else:
-                    probes[i] += 1
-                    tries[i] = 0
-                    if probes[i] >= _PROBE_LIMIT:
+            if unvalidated:
+                check = self.client.batch()
+                vfuts = {}
+                for i, (_version, _blob, lock) in unvalidated.items():
+                    if not lock.warm:
+                        self._first_touches += 1
+                    vfuts[i] = yield from check.read(
+                        self.mapping, lock.offset, _WORD
+                    )
+                yield from check.flush()
+                for i, (version, blob, lock) in unvalidated.items():
+                    word = yield from vfuts[i].wait()
+                    if int.from_bytes(word, "little") != version:
+                        raced(i)  # a writer published between the reads
+                        continue
+                    lock.remember(version, blob[_WORD:], desc)
+                    if settle(i, blob[_WORD:]):
                         settled.append(i)
             for i in settled:
                 pending.remove(i)

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.core import RStoreConfig
+from repro.datapath import PathPolicy
 from repro.kv import KvError, KvFullError, RKVStore
+from repro.kv.hashkv import _hash64
 from repro.simnet.config import KiB, MiB
 
 
@@ -375,3 +377,54 @@ def test_slot_lock_views_are_reused_per_mapping(cluster):
         return (yield from store.get(b"k"))
 
     assert cluster.run_app(app()) == b"v"
+
+
+def colliding_keys(n, slots):
+    """*n* distinct keys sharing one home slot of a *slots*-slot table."""
+    found = {}
+    for i in range(10_000):
+        key = f"c{i}".encode()
+        found.setdefault(_hash64(key) % slots, []).append(key)
+        for keys in found.values():
+            if len(keys) == n:
+                return keys
+    raise AssertionError("no collision found")
+
+
+@pytest.mark.parametrize("stripe", ["wide", "slot"])
+@pytest.mark.parametrize("policy", [PathPolicy.ONE_SIDED, PathPolicy.SERVER_OP,
+                                    PathPolicy.REMOTE_FETCH])
+def test_put_behind_a_tombstone_never_duplicates_the_key(policy, stripe):
+    """A put must find its key past an earlier tombstone instead of
+    claiming the tombstone — otherwise deleting the key later uncovers
+    its stale copy.  ``slot`` stripes put every slot on its own stripe,
+    so the server-op chain spans hosts run by run."""
+    slots = 8
+    key_size, value_size = 16, 32
+    slot_size = RKVStore._slot_size(key_size, value_size)
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(
+            stripe_size=64 * KiB if stripe == "wide" else slot_size),
+        server_capacity=64 * MiB,
+    )
+    a, k, c = colliding_keys(3, slots)
+    home = _hash64(a) % slots
+
+    def app():
+        store = yield from RKVStore.create(
+            cluster.client(1), f"resurrect-{policy}", slots,
+            key_size=key_size, value_size=value_size, path_policy=policy)
+        yield from store.put(a, b"a")
+        yield from store.put(k, b"old")        # lands one past a
+        assert (yield from store.delete(a))    # tombstone at home
+        yield from store.put(k, b"new")        # must update k in place
+        after_put = yield from store.get(k)
+        assert (yield from store.delete(k))
+        after_delete = yield from store.get(k)
+        # an absent key still reuses the first tombstone of its chain
+        yield from store.put(c, b"c")
+        slot = yield from store.snapshot_slot(home)
+        return after_put, after_delete, slot[2], (yield from store.get(c))
+
+    assert cluster.run_app(app()) == (b"new", None, c, b"c")
