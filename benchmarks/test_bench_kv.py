@@ -145,7 +145,8 @@ def test_e10_kv_extension(benchmark):
     print(f"single-op latency: get {fmt_us(lat['get_s'])} us "
           f"(1 one-sided read: the version memo skips validation), "
           f"put {fmt_us(lat['put_s'])} us "
-          f"(read+CAS+write+unlock), sockets get {fmt_us(lat['tcp_get_s'])} us")
+          f"(probe read+CAS+one-doorbell publish), "
+          f"sockets get {fmt_us(lat['tcp_get_s'])} us")
     benchmark.extra_info.update(result)
     JSON_PATH.write_text(json.dumps(
         {

@@ -14,8 +14,10 @@ generalized here):
 Readers never lock: snapshot the whole record in one one-sided read,
 then validate by re-reading the version word; a change (or an odd
 value) means the read raced a writer — retry.  Writers serialize
-through a remote CAS on the version word, mutate the body with plain
-one-sided writes, and publish by writing the next even version.
+through a remote CAS on the version word, then publish: the body WRITE
+and the next even version's WRITE in one doorbell on the record's QP,
+placed in that order by RC (:meth:`SeqLock.stage` /
+:meth:`SeqLock.settle` split it so many records share one flush).
 
 A ``SeqLock`` is a cheap *view* over any mapped region — data
 structures instantiate one per record (hashkv: one per slot) — while
@@ -44,7 +46,7 @@ body, not the possibly torn snapshot body, is what the caller gets.
 
 from __future__ import annotations
 
-from repro.core.errors import RegionUnavailableError
+from repro.core.errors import RegionUnavailableError, RStoreError
 
 from repro.coord.base import Backoff, CoordError, read_word, region_name
 
@@ -192,27 +194,35 @@ class SeqLock:
 
     # -- writers (data path) ---------------------------------------------------
 
-    def try_lock(self, version: int, token: int = None):
-        """CAS the even *version* to odd (generator); returns success.
-
-        With no *token* the lock word becomes ``version + 1`` (the
-        classic protocol) and an ambiguous CAS completion propagates —
-        the caller cannot tell whether it holds the word.  With a
-        unique odd *token* the word itself answers: an ambiguous
-        completion is resolved by re-reading it, so lock acquisition is
-        exactly-once under injected completion faults.
-        """
+    def _lock_word(self, version: int, token: int = None) -> int:
         if version % 2 == 1:
             raise CoordError(f"cannot lock from odd version {version}")
         if token is not None and token % 2 == 0:
             raise CoordError(f"lock token {token} must be odd")
-        lock_word = version + 1 if token is None else token
+        return version + 1 if token is None else token
+
+    def stage_lock(self, batch, version: int, token: int = None):
+        """Queue the lock CAS (even *version* to odd) on *batch*;
+        returns its future for :meth:`settle_lock`.  Many records'
+        CASes share one flush this way — the txn intent round."""
+        lock_word = self._lock_word(version, token)
+        client = self.mapping.client
+        with client.rsan.exempt(client._rsan_actor):
+            return batch.cas(self.mapping, self.offset, version, lock_word)
+
+    def settle_lock(self, fut, version: int, token: int = None):
+        """Whether the CAS *fut* took the word (generator).
+
+        With no *token* an ambiguous CAS completion propagates — the
+        caller cannot tell whether it holds the word.  With a unique
+        odd *token* the word itself answers: an ambiguous completion is
+        resolved by re-reading it, so lock acquisition is exactly-once
+        under injected completion faults.
+        """
         client = self.mapping.client
         rsan = client.rsan
         try:
-            with rsan.exempt(client._rsan_actor):
-                old = yield from self.mapping.cas(self.offset, version,
-                                                  lock_word)
+            old = yield from fut.wait()
         except RegionUnavailableError:
             if token is None:
                 raise
@@ -223,7 +233,7 @@ class SeqLock:
                 observed = yield from read_word(self.mapping, self.offset)
             # anything other than our token — including the unchanged
             # even version — counts as a loss; the caller re-snapshots
-            old = version if observed == lock_word else ~version
+            old = version if observed == token else ~version
         if old != version:
             self._m_lock_failures.inc()
             return False
@@ -231,17 +241,36 @@ class SeqLock:
         rsan.sync_acquire(client._rsan_actor, self._sync_key(version))
         return True
 
-    def publish(self, locked_version: int, body: bytes = b"",
-                new_version: int = None):
-        """Write *body* (optional) and bump to the next even version
-        (generator).  ``locked_version`` is the odd value we CAS'd in
-        (``version + 1``, or the caller's unique token).  Token holders
-        must pass *new_version* explicitly (the pre-lock version + 2);
-        by default the next even version is ``locked_version + 1``.
+    def try_lock(self, version: int, token: int = None):
+        """CAS the even *version* to odd (generator); returns success.
 
-        A full-length *body* becomes this view's memo once the version
-        write lands; a shorter one leaves part of the record unknown,
-        so the memo is dropped instead."""
+        The lock word becomes ``version + 1`` (the classic protocol) or
+        the caller's unique odd *token*; :meth:`settle_lock` says how an
+        ambiguous completion resolves in each case.
+        """
+        lock_word = self._lock_word(version, token)
+        client = self.mapping.client
+        with client.rsan.exempt(client._rsan_actor):
+            fut = yield from self.mapping.cas_async(self.offset, version,
+                                                    lock_word)
+        got = yield from self.settle_lock(fut, version, token)
+        return got
+
+    def stage(self, batch, locked_version: int, body: bytes = b"",
+              new_version: int = None):
+        """Queue a publish on *batch* (generator); returns the pending
+        publish for :meth:`settle`.
+
+        The body WRITE goes first and the version WRITE second, in one
+        flush.  A record never straddles a stripe (and a locked record
+        is never replicated: atomics refuse replicated regions), so both
+        ride one QP and RC order lands the body before the version — a
+        reader never sees the new version over the old body.
+        ``locked_version`` is the odd value we CAS'd in (``version + 1``,
+        or the caller's unique token).  Token holders must pass
+        *new_version* explicitly (the pre-lock version + 2); by default
+        the next even version is ``locked_version + 1``.
+        """
         if locked_version % 2 == 0:
             raise CoordError("publishing a record we never locked")
         if new_version is None:
@@ -259,30 +288,103 @@ class SeqLock:
         mapping = self.mapping
         client = mapping.client
         rsan = client.rsan
-        desc = mapping.desc
+        pending = _Publish(locked_version, new_version, bytes(body),
+                           mapping.desc)
         self._memo = None
         # release under the version we are about to publish, before the
         # writes leave: readers validating it join this clock
         rsan.sync_release(client._rsan_actor, self._sync_key(new_version))
+        stripe = pending.desc.stripe_size
+        if self.offset // stripe != (self.offset + self.record_size - 1) \
+                // stripe:
+            # no single QP orders the two writes: settle writes them
+            # one after the other instead
+            return pending
         with rsan.exempt(client._rsan_actor):
             if body:
-                yield from mapping.write(self.offset + _WORD, body)
-            yield from mapping.write(
-                self.offset, new_version.to_bytes(8, "little")
-            )
-        if len(body) == self.body_size:
-            self.remember(new_version, body, desc)
+                pending.futures.append((yield from batch.write(
+                    mapping, self.offset + _WORD, body, replay=False)))
+            pending.futures.append((yield from batch.write(
+                mapping, self.offset, new_version.to_bytes(8, "little"),
+                replay=False)))
+        return pending
 
-    def abort(self, original_version: int):
-        """Drop the write lock without mutating (generator): restore
-        the pre-lock even version, body untouched."""
+    def settle(self, pending):
+        """Finish a staged publish, exactly once (generator).
+
+        If both staged WRITEs landed, that is all.  Otherwise the
+        version word decides: anything but our lock word means our
+        version WRITE landed, and RC order put the body before it, so
+        the publish is done; our lock word means it did not, so the
+        body and then the version are written again, one after the
+        other, while we still hold the record.  Raises if that hits
+        faults; calling ``settle`` again resumes at the word check, so
+        callers replay it until it returns.
+
+        A full-length body becomes this view's memo once the version
+        write is known to have landed; a shorter one leaves part of the
+        record unknown, so the memo stays dropped.
+        """
+        futures, pending.futures = pending.futures, []
+        landed = bool(futures)
+        for fut in futures:
+            try:
+                yield from fut.wait()
+            except RStoreError:
+                landed = False
+        if landed:
+            self._published(pending, pending.desc)
+            return
+        mapping = self.mapping
+        client = mapping.client
+        with client.rsan.exempt(client._rsan_actor):
+            word = yield from read_word(mapping, self.offset)
+            if word != pending.locked_version:
+                if word == pending.new_version:
+                    self._published(pending, mapping.desc)
+                return
+            if pending.body:
+                yield from mapping.write(self.offset + _WORD, pending.body)
+            yield from mapping.write(
+                self.offset, pending.new_version.to_bytes(8, "little")
+            )
+        # the writes may have remapped: the memo names the last layout
+        self._published(pending, mapping.desc)
+
+    def _published(self, pending, desc) -> None:
+        if len(pending.body) == self.body_size:
+            self.remember(pending.new_version, pending.body, desc)
+
+    def publish(self, locked_version: int, body: bytes = b"",
+                new_version: int = None):
+        """Write *body* (optional) and bump to the next even version
+        (generator): :meth:`stage` and :meth:`settle` around one flush,
+        so the body and version WRITEs share one doorbell."""
+        batch = self.mapping.client.batch()
+        pending = yield from self.stage(batch, locked_version, body,
+                                        new_version)
+        yield from batch.flush()
+        yield from self.settle(pending)
+
+    def stage_abort(self, batch, original_version: int):
+        """Queue :meth:`abort`'s version restore on *batch* (generator);
+        returns its future."""
         if original_version % 2 == 1:
             raise CoordError("abort restores the pre-lock even version")
         client = self.mapping.client
         with client.rsan.exempt(client._rsan_actor):
-            yield from self.mapping.write(
-                self.offset, original_version.to_bytes(8, "little")
-            )
+            fut = yield from batch.write(
+                self.mapping, self.offset,
+                original_version.to_bytes(8, "little"))
+        return fut
+
+    def abort(self, original_version: int):
+        """Drop the write lock without mutating (generator): restore
+        the pre-lock even version, body untouched."""
+        batch = self.mapping.client.batch()
+        fut = yield from self.stage_abort(batch, original_version)
+        yield from batch.flush()
+        yield from fut.wait()
 
     def write(self, body: bytes, backoff: Backoff = None):
         """Full optimistic write cycle (generator): snapshot the
@@ -299,3 +401,21 @@ class SeqLock:
                 continue
             yield from self.publish(version + 1, body)
             return version + 2
+
+
+class _Publish:
+    """One staged publish: what :meth:`SeqLock.settle` needs to finish
+    it."""
+
+    __slots__ = ("locked_version", "new_version", "body", "desc",
+                 "futures")
+
+    def __init__(self, locked_version, new_version, body, desc):
+        self.locked_version = locked_version
+        self.new_version = new_version
+        self.body = body
+        #: the descriptor the publish was staged through (its layout
+        #: decides whether the two WRITEs share a QP)
+        self.desc = desc
+        #: the staged WRITE futures, body first (empty once settled)
+        self.futures = []

@@ -153,7 +153,7 @@ class OpFuture:
         "local_mr", "done", "value", "error", "resolved_at", "deadline",
         "resolve_index", "_event", "_chunk", "_remaining", "_failure",
         "_failed", "_last_wc", "_flush_ambiguous", "_attempts",
-        "trace_id", "_span", "_rsan",
+        "replay", "trace_id", "_span", "_rsan",
     )
 
     def __init__(self, client: "RStoreClient", mapping: "Mapping",
@@ -196,6 +196,10 @@ class OpFuture:
         self._last_wc = None
         self._flush_ambiguous = False
         self._attempts = 0
+        #: False: fail on the first error instead of remapping and
+        #: replaying — for a write whose replay must not race the
+        #: caller's own ordering (a SeqLock publish settles itself)
+        self.replay = True
         #: per-op trace: a whole-op envelope span from submission to
         #: resolution, id shared by every layer's spans for this op
         tracer = client.obs.tracer
@@ -521,11 +525,15 @@ class IoBatch:
         return fut
 
     def write(self, mapping: "Mapping", offset: int, payload: bytes,
-              wire_scale: int = 1):
-        """Queue a staged write (generator); returns its future."""
+              wire_scale: int = 1, replay: bool = True):
+        """Queue a staged write (generator); returns its future.
+
+        ``replay=False`` fails the future on its first error instead of
+        remapping and replaying it (see :attr:`OpFuture.replay`)."""
         mapping._check_usable()
         fut = OpFuture(self.client, mapping, Opcode.RDMA_WRITE, "write",
                        offset, len(payload), wire_scale)
+        fut.replay = replay
         self.futures.append(fut)
         if not payload:
             fut._resolve(0)
@@ -1828,6 +1836,9 @@ class RStoreClient:
             )
             err.__cause__ = fut._failure
             fut._fail(err)
+            return
+        if not fut.replay:
+            fut._fail(fut._failure)
             return
         fut._attempts += 1
         if fut.deadline is not None and self.sim.now >= fut.deadline:

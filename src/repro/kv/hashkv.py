@@ -311,23 +311,14 @@ class RKVStore:
                 )
             index, version = target
             lock = self._slot_lock(index)
+            # the probe validated (version, body), and every body
+            # mutation bumps the version: a CAS from that version proves
+            # no racing writer claimed the slot for another key since
             locked = yield from lock.try_lock(version)
             if not locked:
                 # lost the race; pause, then re-probe from scratch
                 self._m_lock_retries.inc()
                 yield from self._backoff.pause()
-                continue
-            # guard against a racing writer having claimed the slot for
-            # a different key between our read and our lock
-            body = yield from self.mapping.read(
-                self._slot_offset(index) + _WORD, self.slot_size - _WORD
-            )
-            cur_len, cur_key, _val = self._parse_body(body)
-            if cur_len not in (0, _TOMBSTONE) and cur_key != key:
-                # a racing writer claimed this slot for another key
-                # between our probe and our lock: back out (contents
-                # untouched) and re-probe
-                yield from lock.abort(version)
                 continue
             yield from lock.publish(
                 version + 1, self._encode_body(key, value)

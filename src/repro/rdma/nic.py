@@ -9,6 +9,12 @@ NIC engine model (an analytic busy-time chain, like a link channel)
 processes WQEs in order, moves frames across the fabric, executes
 one-sided operations against the *remote NIC's* memory table without
 ever touching the remote CPU model, and raises completions.
+
+Responder ordering follows RC: a WR that never executes remotely
+(injected launch fault, request leg lost to a partition, NAK, dead
+peer) halts its QP, and every WR posted behind it completes as
+``WR_FLUSH_ERR`` without touching remote memory — so a WRITE posted
+after another on one QP never lands unless the first one did.
 """
 
 from __future__ import annotations
@@ -285,6 +291,7 @@ class RNic:
             if detail:
                 # injected wire fault: the op times out and errors the QP,
                 # exactly like losing the peer mid-flight
+                qp.halted = True
                 self.sim.call_later(
                     self.model.retry_timeout_s,
                     lambda _: self._complete(
@@ -329,11 +336,12 @@ class RNic:
         return wr.local_mr.buffer.read(offset, wr.length)
 
     def _transmit(self, dst: "RNic", nbytes: int,
-                  on_delivered: Callable[[Any], None], arg: Any = None):
+                  on_delivered: Callable[[Any], None],
+                  arg: Any = None) -> bool:
         """Send *nbytes* to *dst*'s NIC; ``on_delivered(arg)`` runs when
-        the last frame lands."""
+        the last frame lands.  False if a partition ate the message."""
         self._m_bytes_sent.inc(nbytes)
-        self.network.transmit_then(
+        return self.network.transmit_then(
             self.host,
             dst.host,
             nbytes,
@@ -343,9 +351,9 @@ class RNic:
         )
 
     def _send_control(self, dst: "RNic", on_delivered: Callable[[Any], None],
-                      arg: Any = None):
-        self._transmit(dst, self.model.control_message_bytes, on_delivered,
-                       arg)
+                      arg: Any = None) -> bool:
+        return self._transmit(dst, self.model.control_message_bytes,
+                              on_delivered, arg)
 
     def _acked(self, job: tuple) -> None:
         """A success acknowledgement reached this (requesting) NIC: the
@@ -400,8 +408,16 @@ class RNic:
             wc._obs_raised = self.sim.now
         qp._complete_send(wr, wc)
 
+    def _flush_halted(self, qp: QueuePair, wr: SendWR) -> None:
+        """*wr* reached the responder behind a WR that never executed
+        there: RC drops it unexecuted, and it completes flushed."""
+        self._complete(qp, wr, WcStatus.WR_FLUSH_ERR,
+                       detail="flushed behind a work request the "
+                              "responder never executed")
+
     def _schedule_retry_failure(self, qp: QueuePair, wr: SendWR) -> None:
         """The peer is unreachable: complete with RETRY_EXC after timeout."""
+        qp.halted = True
         self.sim.call_later(
             self.model.retry_timeout_s,
             lambda _: self._complete(
@@ -433,6 +449,7 @@ class RNic:
 
     def _nak(self, qp: QueuePair, wr: SendWR, remote: "RNic", detail: str) -> None:
         """Remote-side rejection: error response after a round trip."""
+        qp.halted = True
         remote._send_control(
             self,
             lambda _: self.sim.call_later(
@@ -450,6 +467,9 @@ class RNic:
         payload = self._snapshot_payload(wr)
 
         def on_data_arrival(_):
+            if qp.halted:
+                self._flush_halted(qp, wr)
+                return
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -476,7 +496,8 @@ class RNic:
 
             self.sim.call_later(remote.model.remote_dma_s, do_dma)
 
-        self._transmit(remote, wr.bytes_on_wire, on_data_arrival)
+        if not self._transmit(remote, wr.bytes_on_wire, on_data_arrival):
+            qp.halted = True
 
     # -- RDMA READ -------------------------------------------------------------
 
@@ -484,6 +505,9 @@ class RNic:
         remote = remote_qp.nic
 
         def on_request_arrival(_):
+            if qp.halted:
+                self._flush_halted(qp, wr)
+                return
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -511,7 +535,8 @@ class RNic:
 
             self.sim.call_later(remote.model.remote_dma_s, do_dma)
 
-        self._send_control(remote, on_request_arrival)
+        if not self._send_control(remote, on_request_arrival):
+            qp.halted = True
 
     # -- atomics -----------------------------------------------------------------
 
@@ -519,6 +544,9 @@ class RNic:
         remote = remote_qp.nic
 
         def on_request_arrival(_):
+            if qp.halted:
+                self._flush_halted(qp, wr)
+                return
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -555,7 +583,8 @@ class RNic:
                 remote.model.remote_dma_s + remote.model.atomic_extra_s, do_atomic
             )
 
-        self._send_control(remote, on_request_arrival)
+        if not self._send_control(remote, on_request_arrival):
+            qp.halted = True
 
     # -- SEND / RECV ---------------------------------------------------------------
 
@@ -564,6 +593,9 @@ class RNic:
         payload = self._snapshot_payload(wr)
 
         def on_data_arrival(_):
+            if qp.halted:
+                self._flush_halted(qp, wr)
+                return
             if not remote.alive:
                 self._schedule_retry_failure(qp, wr)
                 return
@@ -578,7 +610,8 @@ class RNic:
                 return
             remote._match_recv(remote_qp, rwr, "send", payload, qp, wr)
 
-        self._transmit(remote, wr.bytes_on_wire, on_data_arrival)
+        if not self._transmit(remote, wr.bytes_on_wire, on_data_arrival):
+            qp.halted = True
 
     def _match_recv(
         self,
@@ -622,6 +655,7 @@ class RNic:
                 )
             )
             dst_qp.set_error("receive buffer too small")
+            src_qp.halted = True
             self._send_control(
                 src_nic,
                 lambda _: src_nic.sim.call_later(

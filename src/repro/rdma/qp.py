@@ -6,7 +6,10 @@ systems only ever use RC QPs, fully connected before use.
 
 Ordering follows RC semantics: work requests on one QP execute and
 complete in post order; an error transitions the QP to ``ERROR`` and
-flushes everything still queued.
+flushes everything still queued.  The responder keeps that order too:
+once a WR on a QP never executes remotely — dropped on the wire, NAK'd,
+or sent to a dead peer — no WR posted behind it executes either; the
+NIC completes each of them as flushed (see ``halted``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ class QueuePair:
         self._inflight = 0
         #: send WRs in post order, awaiting in-order completion delivery
         self._order: deque[SendWR] = deque()
+        #: set once a WR on this QP failed to execute at the responder;
+        #: every later WR arriving there is flushed instead of executed
+        self.halted = False
         pd.qps.append(self)
 
     # -- connection management (driven by the CM) ---------------------------

@@ -159,14 +159,15 @@ class Network:
         fn: Callable[[Any], None],
         arg: Any = None,
         header_bytes: int = 0,
-    ) -> None:
+    ) -> bool:
         """:meth:`transmit_message` for callers that never wait on the
         event: ``fn(arg)`` runs in exactly the queue slot (same instant,
         same sequence number) where the event would have fired, without
         building it.  The NIC's data path sends every message this way.
+        Returns False if the fabric ate the message (``fn`` never runs).
         """
-        self._carry(src, dst, nbytes, None, header_bytes,
-                    self._land, (fn, arg))
+        return self._carry(src, dst, nbytes, None, header_bytes,
+                           self._land, (fn, arg))
 
     def _land(self, job: tuple) -> None:
         # the delivery hop: queued at the last frame's ingress finish,

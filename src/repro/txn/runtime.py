@@ -9,24 +9,29 @@ commits them atomically with optimistic concurrency control:
    even version recorded in the read-set.  Probe chains record every
    slot they cross, so a concurrent insert that would change a
    lookup's outcome invalidates the transaction (phantom protection).
-2. **Write intent.**  At commit the write-set is locked in global
-   ``(region, offset)`` order — every transaction sorts the same way,
-   so lock acquisition cannot deadlock — by CAS'ing each version word
-   from its snapshot version to the transaction's unique odd *token*
-   (the :class:`~repro.coord.SeqLock` token protocol).  A successful
+2. **Write intent.**  At commit every version word of the write-set
+   is CAS'd from its snapshot version to the transaction's unique odd
+   *token* (the :class:`~repro.coord.SeqLock` token protocol), all in
+   one flush — one doorbell per QP, one round trip.  The CASes are
+   no-wait: a lost one aborts the transaction instead of waiting, so
+   no lock order is needed for deadlock freedom; they still post in
+   ``(region, offset)`` order so runs stay deterministic.  A successful
    CAS doubles as validation: the version is unchanged since the
    snapshot, hence so is the body (versions only move forward).
 3. **Validation.**  Read-only members of the read-set are re-read
    (one batched round of 8-byte version words) and must still carry
    their snapshot versions.
 4. **Apply.**  Past validation the transaction is irrevocably
-   committed: every publish is an idempotent one-sided write (body,
-   then version) replayed until it lands, so crashes, partitions and
-   wire faults during apply delay the commit but cannot tear it.
+   committed: the whole write-set publishes in one flush (body, then
+   version, on each record's QP), and any publish that does not
+   confirm is settled through the version word and replayed until it
+   lands, so crashes, partitions and wire faults during apply delay
+   the commit but cannot tear it.
 
 Aborts before the commit point release intent locks by restoring the
-snapshot version — also an idempotent write, also replayed under
-faults — so a failed transaction never leaves a slot locked.
+snapshot version — one batched round of idempotent writes, each
+replayed under faults — so a failed transaction never leaves a slot
+locked.
 
 Conflicts surface as :class:`TxnConflictError` (a
 :class:`RecoverableError`); :meth:`TxnRuntime.run` retries the whole
@@ -341,14 +346,15 @@ class Txn:
                 continue
             writes.append(_WriteEntry(state.lock, rkey, state.version,
                                       state.pending))
-        # deadlock freedom: every transaction locks in this same order
+        # intents are no-wait, so this order does not prevent deadlock;
+        # it fixes the post order so runs replay deterministically
         writes.sort(key=lambda w: w.rkey)
         return writes
 
     def _replay(self, op_factory, backoff):
         """Drive one idempotent post-decision write to completion
-        (generator): publishes and lock releases are plain writes, so
-        replaying them through faults is safe and *required* — the
+        (generator): publish settles and lock releases are safe to
+        replay through faults, and replaying them is *required* — the
         decision is already made."""
         for _attempt in range(_APPLY_ATTEMPTS):
             try:
@@ -361,14 +367,15 @@ class Txn:
             f"{_APPLY_ATTEMPTS} attempts"
         )
 
-    def _acquire(self, entry: _WriteEntry):
-        """Take write intent on one slot (generator) — exactly-once
-        even when the CAS completion *and* the disambiguating read are
-        eaten by faults: the token names us, so the word decides."""
+    def _acquire(self, entry: _WriteEntry, fut):
+        """Whether this transaction's intent CAS *fut* took *entry*'s
+        slot (generator) — exactly-once even when the CAS completion
+        *and* the disambiguating read are eaten by faults: the token
+        names us, so the word decides."""
         client = self.client
         try:
-            got = yield from entry.lock.try_lock(entry.version,
-                                                 token=self.token)
+            got = yield from entry.lock.settle_lock(fut, entry.version,
+                                                    token=self.token)
         except RecoverableError:
             got = None
             for _attempt in range(_APPLY_ATTEMPTS):
@@ -388,11 +395,76 @@ class Txn:
                 )
             if got:
                 # resolved to "held": join the publisher of the version
-                # we CAS'd away, as try_lock would have
+                # we CAS'd away, as settle_lock would have
                 client.rsan.sync_acquire(
                     client._rsan_actor, entry.lock._sync_key(entry.version)
                 )
         return got
+
+    def _acquire_all(self, writes, held):
+        """The intent round (generator): every write-intent CAS in one
+        flush.  Each slot won is appended to *held* — all of them are
+        resolved before anything raises, so none leaks locked — then
+        the first loss raises :class:`TxnConflictError`."""
+        if not writes:
+            return
+        batch = self.client.batch()
+        futures = [w.lock.stage_lock(batch, w.version, token=self.token)
+                   for w in writes]
+        yield from batch.flush()
+        lost = error = None
+        for entry, fut in zip(writes, futures):
+            try:
+                got = yield from self._acquire(entry, fut)
+            except RStoreError as exc:
+                error = error or exc
+                continue
+            if got:
+                held.append(entry)
+            elif lost is None:
+                lost = entry
+        if error is not None:
+            raise error
+        if lost is not None:
+            raise TxnConflictError(
+                f"write intent on {lost.rkey} lost to a concurrent writer"
+            )
+
+    def _release(self, held, backoff):
+        """Restore every held slot's pre-lock version (generator): one
+        batched round, then a replay of each restore that failed."""
+        if not held:
+            return
+        batch = self.client.batch()
+        futures = []
+        for entry in held:
+            futures.append((yield from entry.lock.stage_abort(
+                batch, entry.version)))
+        yield from batch.flush()
+        for entry, fut in zip(held, futures):
+            try:
+                yield from fut.wait()
+            except RecoverableError:
+                yield from self._replay(
+                    lambda entry=entry: entry.lock.abort(entry.version),
+                    backoff,
+                )
+
+    def _publish_all(self, writes, backoff):
+        """The apply round (generator): every publish in one flush,
+        then each settled — replayed until it lands."""
+        if not writes:
+            return
+        batch = self.client.batch()
+        pending = []
+        for w in writes:
+            pending.append((yield from w.lock.stage(
+                batch, self.token, w.body, new_version=w.version + 2)))
+        yield from batch.flush()
+        for w, staged in zip(writes, pending):
+            yield from self._replay(
+                lambda w=w, staged=staged: w.lock.settle(staged), backoff
+            )
 
     def _validate(self, write_rkeys):
         """Re-read every read-only member of the read-set (generator):
@@ -447,14 +519,7 @@ class Txn:
                 raise DeadlineExceededError(
                     "transaction deadline passed before commit"
                 )
-            for entry in writes:
-                got = yield from self._acquire(entry)
-                if not got:
-                    raise TxnConflictError(
-                        f"write intent on {entry.rkey} lost to a "
-                        "concurrent writer"
-                    )
-                held.append(entry)
+            yield from self._acquire_all(writes, held)
             yield from self._validate(write_rkeys)
             # -- the commit point: every write below is idempotent and
             # replayed until it lands, so the decision cannot tear
@@ -466,12 +531,7 @@ class Txn:
             client.rsan.txn_commit(client._rsan_actor,
                                    read_keys=read_keys,
                                    write_keys=write_keys)
-            for w in writes:
-                yield from self._replay(
-                    lambda w=w: w.lock.publish(self.token, w.body,
-                                               new_version=w.version + 2),
-                    replay,
-                )
+            yield from self._publish_all(writes, replay)
             self._phase = "committed"
             runtime._m_commits.inc()
             runtime._m_writes.observe(len(writes))
@@ -483,11 +543,7 @@ class Txn:
                 runtime._m_conflicts.inc()
             client.rsan.txn_abort(client._rsan_actor)
             if not decided:
-                for entry in held:
-                    yield from self._replay(
-                        lambda entry=entry: entry.lock.abort(entry.version),
-                        replay,
-                    )
+                yield from self._release(held, replay)
             raise
 
     def abort(self):

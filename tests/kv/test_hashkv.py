@@ -428,3 +428,47 @@ def test_put_behind_a_tombstone_never_duplicates_the_key(policy, stripe):
         return after_put, after_delete, slot[2], (yield from store.get(c))
 
     assert cluster.run_app(app()) == (b"new", None, c, b"c")
+
+
+def test_put_losing_its_probed_slot_to_another_key_reprobes():
+    """A second client claims the slot a put probed, for another key,
+    between the put's probe and its lock CAS.  The CAS from the probed
+    version is what catches it: the put must lose, probe again and
+    store its key exactly once."""
+    slots = 8
+    cluster = build_cluster(
+        num_machines=4,
+        config=RStoreConfig(stripe_size=64 * KiB),
+        server_capacity=64 * MiB,
+    )
+    ours, theirs = colliding_keys(2, slots)
+    home = _hash64(ours) % slots
+
+    def app():
+        store = yield from RKVStore.create(cluster.client(1), "claim",
+                                           slots, key_size=16,
+                                           value_size=32)
+        rival = yield from RKVStore.open(cluster.client(2), "claim")
+        lock = store.slot_lock(home)
+        real_try_lock = lock.try_lock
+
+        def racing_try_lock(version, token=None):
+            del lock.try_lock  # one race only
+            yield from rival.put(theirs, b"theirs")
+            return (yield from real_try_lock(version, token))
+
+        lock.try_lock = racing_try_lock
+        yield from store.put(ours, b"ours")
+        slots_now = []
+        for index in range(slots):
+            slots_now.append((yield from store.snapshot_slot(index))[2])
+        mine = yield from store.get(ours)
+        yours = yield from rival.get(theirs)
+        return (mine, yours), slots_now, store.lock_retries
+
+    (got, slots_now, retries) = cluster.run_app(app())
+    assert got == (b"ours", b"theirs")
+    assert slots_now[home] == theirs
+    assert slots_now[(home + 1) % slots] == ours
+    assert slots_now.count(ours) == slots_now.count(theirs) == 1
+    assert retries == 1
