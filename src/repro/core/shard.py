@@ -29,7 +29,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.errors import DeadlineExceededError
-from repro.coord.base import Backoff
+from repro.core.backoff import Backoff
 from repro.rdma.types import RdmaError
 from repro.rpc.channel import ChannelClosed
 from repro.rpc.endpoint import RpcClient, RpcError

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import pickle
 
-from repro.coord.base import Backoff
+from repro.core.backoff import Backoff
 from repro.core.client import _translated
 from repro.core.errors import (
     RetryBudgetExceededError,

@@ -8,7 +8,11 @@ The data path is fully offloaded: once a work request is posted, the
 NIC engine model (an analytic busy-time chain, like a link channel)
 processes WQEs in order, moves frames across the fabric, executes
 one-sided operations against the *remote NIC's* memory table without
-ever touching the remote CPU model, and raises completions.
+ever touching the remote CPU model, and raises completions.  Each leg's
+fixed delay rides the fabric's delivery timer (``transmit_then``'s
+*after*): the responder checks and executes a WR at request arrival +
+``remote_dma_s`` in one callback, and the requester raises the CQE at
+reply arrival + ``completion_s`` in another.
 
 Responder ordering follows RC: a WR that never executes remotely
 (injected launch fault, request leg lost to a partition, NAK, dead
@@ -293,10 +297,8 @@ class RNic:
                 # exactly like losing the peer mid-flight
                 qp.halted = True
                 self.sim.call_later(
-                    self.model.retry_timeout_s,
-                    lambda _: self._complete(
-                        qp, wr, WcStatus.RETRY_EXC_ERR, detail=detail
-                    ),
+                    self.model.retry_timeout_s, self._raise_cqe,
+                    (qp, wr, WcStatus.RETRY_EXC_ERR, 0, None, detail),
                 )
                 return
         if self.network.fault_filter is not None:
@@ -306,11 +308,9 @@ class RNic:
             # been raised by then, the op fails with RETRY_EXC_ERR.
             # First completion wins (see the guard in ``_complete``).
             self.sim.call_later(
-                self.model.retry_timeout_s,
-                lambda _: self._complete(
-                    qp, wr, WcStatus.RETRY_EXC_ERR,
-                    detail="transport retries exhausted (partitioned?)",
-                ),
+                self.model.retry_timeout_s, self._raise_cqe,
+                (qp, wr, WcStatus.RETRY_EXC_ERR, 0, None,
+                 "transport retries exhausted (partitioned?)"),
             )
         remote_qp = qp.remote
         assert remote_qp is not None, "connected QP lost its peer"
@@ -336,33 +336,36 @@ class RNic:
         return wr.local_mr.buffer.read(offset, wr.length)
 
     def _transmit(self, dst: "RNic", nbytes: int,
-                  on_delivered: Callable[[Any], None],
-                  arg: Any = None) -> bool:
-        """Send *nbytes* to *dst*'s NIC; ``on_delivered(arg)`` runs when
-        the last frame lands.  False if a partition ate the message."""
+                  fn: Callable[[Any], None], arg: Any = None,
+                  after: float = 0.0) -> bool:
+        """Send *nbytes* to *dst*'s NIC; ``fn(arg)`` runs *after* seconds
+        past the moment the last frame lands.  False if a partition ate
+        the message."""
         self._m_bytes_sent.inc(nbytes)
         return self.network.transmit_then(
             self.host,
             dst.host,
             nbytes,
-            on_delivered,
+            fn,
             arg,
             header_bytes=self.model.frame_header_bytes,
+            after=after,
         )
 
-    def _send_control(self, dst: "RNic", on_delivered: Callable[[Any], None],
-                      arg: Any = None) -> bool:
+    def _send_control(self, dst: "RNic", fn: Callable[[Any], None],
+                      arg: Any = None, after: float = 0.0) -> bool:
         return self._transmit(dst, self.model.control_message_bytes,
-                              on_delivered, arg)
+                              fn, arg, after)
 
-    def _acked(self, job: tuple) -> None:
-        """A success acknowledgement reached this (requesting) NIC: the
-        completion is raised one CQE write later."""
-        self.sim.call_later(self.model.completion_s, self._complete_ok, job)
+    def _reply(self, requester: "RNic", job: tuple) -> None:
+        """Send the responder's acknowledgement or NAK; the requester
+        raises the CQE ``_complete(*job)`` one CQE write after it lands."""
+        self._send_control(requester, requester._raise_cqe, job,
+                           requester.model.completion_s)
 
-    def _complete_ok(self, job: tuple) -> None:
-        qp, wr, byte_len, atomic_result = job
-        self._complete(qp, wr, WcStatus.SUCCESS, byte_len, atomic_result)
+    def _raise_cqe(self, job: tuple) -> None:
+        """Timer target: *job* is :meth:`_complete`'s positional args."""
+        self._complete(*job)
 
     def _complete(
         self,
@@ -408,25 +411,47 @@ class RNic:
             wc._obs_raised = self.sim.now
         qp._complete_send(wr, wc)
 
-    def _flush_halted(self, qp: QueuePair, wr: SendWR) -> None:
-        """*wr* reached the responder behind a WR that never executed
-        there: RC drops it unexecuted, and it completes flushed."""
-        self._complete(qp, wr, WcStatus.WR_FLUSH_ERR,
-                       detail="flushed behind a work request the "
-                              "responder never executed")
-
     def _schedule_retry_failure(self, qp: QueuePair, wr: SendWR) -> None:
         """The peer is unreachable: complete with RETRY_EXC after timeout."""
         qp.halted = True
         self.sim.call_later(
-            self.model.retry_timeout_s,
-            lambda _: self._complete(
-                qp,
-                wr,
-                WcStatus.RETRY_EXC_ERR,
-                detail="remote host unreachable",
-            ),
+            self.model.retry_timeout_s, self._raise_cqe,
+            (qp, wr, WcStatus.RETRY_EXC_ERR, 0, None,
+             "remote host unreachable"),
         )
+
+    def _refused(self, qp: QueuePair, wr: SendWR, remote: "RNic") -> bool:
+        """True if *wr* reached the responder behind a WR it never
+        executed (RC drops it: it completes flushed) or the responder is
+        dead (it times out)."""
+        if qp.halted:
+            self._complete(qp, wr, WcStatus.WR_FLUSH_ERR,
+                           detail="flushed behind a work request the "
+                                  "responder never executed")
+            return True
+        if not remote.alive:
+            self._schedule_retry_failure(qp, wr)
+            return True
+        return False
+
+    def _admit(self, qp: QueuePair, wr: SendWR, remote: "RNic",
+               need: Access) -> Optional[MemoryRegion]:
+        """The responder's checks, run when it is about to execute *wr*
+        (arrival + ``remote_dma_s``): the target MR, or None once the WR
+        has been answered otherwise — flushed behind a halt, timed out
+        on a dead peer, or NAK'd."""
+        if self._refused(qp, wr, remote):
+            return None
+        mr, detail = self._remote_lookup(remote, wr, need)
+        if (mr is not None and need is Access.REMOTE_ATOMIC
+                and wr.remote_addr % 8 != 0):
+            mr, detail = None, "atomic target not 8-byte aligned"
+        if mr is None:
+            # remote-side rejection: an error response after a round trip
+            qp.halted = True
+            remote._reply(self, (qp, wr, WcStatus.REM_ACCESS_ERR, 0, None,
+                                 detail))
+        return mr
 
     def _remote_lookup(
         self, remote: "RNic", wr: SendWR, need: Access
@@ -447,171 +472,127 @@ class RNic:
             return None, err
         return mr, ""
 
-    def _nak(self, qp: QueuePair, wr: SendWR, remote: "RNic", detail: str) -> None:
-        """Remote-side rejection: error response after a round trip."""
-        qp.halted = True
-        remote._send_control(
-            self,
-            lambda _: self.sim.call_later(
-                self.model.completion_s,
-                lambda _: self._complete(
-                    qp, wr, WcStatus.REM_ACCESS_ERR, detail=detail
-                ),
-            ),
-        )
-
     # -- RDMA WRITE ------------------------------------------------------------
 
     def _launch_write(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
         remote = remote_qp.nic
-        payload = self._snapshot_payload(wr)
-
-        def on_data_arrival(_):
-            if qp.halted:
-                self._flush_halted(qp, wr)
-                return
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            mr, err = self._remote_lookup(remote, wr, Access.REMOTE_WRITE)
-            if mr is None:
-                self._nak(qp, wr, remote, err)
-                return
-
-            def do_dma(_):
-                mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
-                if remote.rsan.enabled:
-                    remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
-                                         wr.length, "write", wr)
-                if wr.opcode is Opcode.RDMA_WRITE_IMM:
-                    # the immediate consumes a receive WQE at the target
-                    rwr = remote_qp._take_recv()
-                    if rwr is None:
-                        remote_qp._park_arrival(("imm", None, qp, wr))
-                    else:
-                        remote._match_recv(remote_qp, rwr, "imm", None,
-                                           qp, wr)
-                remote._send_control(self, self._acked,
-                                     (qp, wr, wr.length, None))
-
-            self.sim.call_later(remote.model.remote_dma_s, do_dma)
-
-        if not self._transmit(remote, wr.bytes_on_wire, on_data_arrival):
+        job = (qp, wr, remote_qp, self._snapshot_payload(wr))
+        if not self._transmit(remote, wr.bytes_on_wire, self._write_at,
+                              job, remote.model.remote_dma_s):
             qp.halted = True
+
+    def _write_at(self, job: tuple) -> None:
+        """Responder, arrival + ``remote_dma_s``: place the payload."""
+        qp, wr, remote_qp, payload = job
+        remote = remote_qp.nic
+        mr = self._admit(qp, wr, remote, Access.REMOTE_WRITE)
+        if mr is None:
+            return
+        mr.buffer.write(mr.offset_of(wr.remote_addr), payload)
+        if remote.rsan.enabled:
+            remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
+                                 wr.length, "write", wr)
+        if wr.opcode is Opcode.RDMA_WRITE_IMM:
+            # the immediate consumes a receive WQE at the target
+            rwr = remote_qp._take_recv()
+            if rwr is None:
+                remote_qp._park_arrival(("imm", None, qp, wr))
+            else:
+                remote._match_recv(remote_qp, rwr, "imm", None, qp, wr)
+        remote._reply(self, (qp, wr, WcStatus.SUCCESS, wr.length))
 
     # -- RDMA READ -------------------------------------------------------------
 
     def _launch_read(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
         remote = remote_qp.nic
-
-        def on_request_arrival(_):
-            if qp.halted:
-                self._flush_halted(qp, wr)
-                return
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            mr, err = self._remote_lookup(remote, wr, Access.REMOTE_READ)
-            if mr is None:
-                self._nak(qp, wr, remote, err)
-                return
-
-            def do_dma(_):
-                data = mr.buffer.read(mr.offset_of(wr.remote_addr), wr.length)
-                if remote.rsan.enabled:
-                    remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
-                                         wr.length, "read", wr)
-
-                def on_response_arrival(_):
-                    if wr.local_mr is not None and wr.length:
-                        wr.local_mr.buffer.write(
-                            wr.local_mr.offset_of(wr.local_addr), data
-                        )
-                    self.sim.call_later(self.model.completion_s,
-                                        self._complete_ok,
-                                        (qp, wr, wr.length, None))
-
-                remote._transmit(self, wr.bytes_on_wire, on_response_arrival)
-
-            self.sim.call_later(remote.model.remote_dma_s, do_dma)
-
-        if not self._send_control(remote, on_request_arrival):
+        if not self._send_control(remote, self._read_at, (qp, wr, remote),
+                                  remote.model.remote_dma_s):
             qp.halted = True
+
+    def _read_at(self, job: tuple) -> None:
+        """Responder, arrival + ``remote_dma_s``: fetch and send back."""
+        qp, wr, remote = job
+        mr = self._admit(qp, wr, remote, Access.REMOTE_READ)
+        if mr is None:
+            return
+        data = mr.buffer.read(mr.offset_of(wr.remote_addr), wr.length)
+        if remote.rsan.enabled:
+            remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
+                                 wr.length, "read", wr)
+        remote._transmit(self, wr.bytes_on_wire, self._read_done,
+                         (qp, wr, data), self.model.completion_s)
+
+    def _read_done(self, job: tuple) -> None:
+        """Requester, response arrival + ``completion_s``: land the data
+        in the local buffer and raise the CQE."""
+        qp, wr, data = job
+        if wr.local_mr is not None and wr.length:
+            wr.local_mr.buffer.write(wr.local_mr.offset_of(wr.local_addr),
+                                     data)
+        self._complete(qp, wr, WcStatus.SUCCESS, wr.length)
 
     # -- atomics -----------------------------------------------------------------
 
     def _launch_atomic(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
         remote = remote_qp.nic
-
-        def on_request_arrival(_):
-            if qp.halted:
-                self._flush_halted(qp, wr)
-                return
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            mr, err = self._remote_lookup(remote, wr, Access.REMOTE_ATOMIC)
-            if mr is None:
-                self._nak(qp, wr, remote, err)
-                return
-            if wr.remote_addr % 8 != 0:
-                self._nak(qp, wr, remote, "atomic target not 8-byte aligned")
-                return
-
-            def do_atomic(_):
-                offset = mr.offset_of(wr.remote_addr)
-                old = int.from_bytes(mr.buffer.read(offset, 8), "little")
-                if wr.opcode is Opcode.ATOMIC_CAS:
-                    if old == wr.compare:
-                        mr.buffer.write(
-                            offset, wr.swap.to_bytes(8, "little", signed=False)
-                        )
-                else:  # fetch-and-add, wrapping at 2^64 like hardware
-                    new = (old + wr.compare) % (1 << 64)
-                    mr.buffer.write(offset, new.to_bytes(8, "little"))
-                if wr.local_mr is not None:
-                    wr.local_mr.buffer.write(
-                        wr.local_mr.offset_of(wr.local_addr),
-                        old.to_bytes(8, "little"),
-                    )
-                if remote.rsan.enabled:
-                    remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
-                                         8, "atomic", wr)
-                remote._send_control(self, self._acked, (qp, wr, 8, old))
-
-            self.sim.call_later(
-                remote.model.remote_dma_s + remote.model.atomic_extra_s, do_atomic
-            )
-
-        if not self._send_control(remote, on_request_arrival):
+        if not self._send_control(
+            remote, self._atomic_at, (qp, wr, remote),
+            remote.model.remote_dma_s + remote.model.atomic_extra_s,
+        ):
             qp.halted = True
+
+    def _atomic_at(self, job: tuple) -> None:
+        """Responder, arrival + ``remote_dma_s + atomic_extra_s``."""
+        qp, wr, remote = job
+        mr = self._admit(qp, wr, remote, Access.REMOTE_ATOMIC)
+        if mr is None:
+            return
+        offset = mr.offset_of(wr.remote_addr)
+        old = int.from_bytes(mr.buffer.read(offset, 8), "little")
+        if wr.opcode is Opcode.ATOMIC_CAS:
+            if old == wr.compare:
+                mr.buffer.write(
+                    offset, wr.swap.to_bytes(8, "little", signed=False)
+                )
+        else:  # fetch-and-add, wrapping at 2^64 like hardware
+            new = (old + wr.compare) % (1 << 64)
+            mr.buffer.write(offset, new.to_bytes(8, "little"))
+        if wr.local_mr is not None:
+            wr.local_mr.buffer.write(
+                wr.local_mr.offset_of(wr.local_addr),
+                old.to_bytes(8, "little"),
+            )
+        if remote.rsan.enabled:
+            remote.rsan.on_apply(remote.host.host_id, wr.remote_addr,
+                                 8, "atomic", wr)
+        remote._reply(self, (qp, wr, WcStatus.SUCCESS, 8, old))
 
     # -- SEND / RECV ---------------------------------------------------------------
 
     def _launch_send(self, qp: QueuePair, wr: SendWR, remote_qp: QueuePair) -> None:
-        remote = remote_qp.nic
-        payload = self._snapshot_payload(wr)
-
-        def on_data_arrival(_):
-            if qp.halted:
-                self._flush_halted(qp, wr)
-                return
-            if not remote.alive:
-                self._schedule_retry_failure(qp, wr)
-                return
-            if remote_qp.state is not QpState.CONNECTED:
-                self._nak(qp, wr, remote, "remote QP not in connected state")
-                return
-            rwr = remote_qp._take_recv()
-            if rwr is None:
-                # RC would RNR-retry; we park the message until a receive
-                # is posted, at which point matching resumes.
-                remote_qp._park_arrival(("send", payload, qp, wr))
-                return
-            remote._match_recv(remote_qp, rwr, "send", payload, qp, wr)
-
-        if not self._transmit(remote, wr.bytes_on_wire, on_data_arrival):
+        job = (qp, wr, remote_qp, self._snapshot_payload(wr))
+        if not self._transmit(remote_qp.nic, wr.bytes_on_wire, self._send_at,
+                              job):
             qp.halted = True
+
+    def _send_at(self, job: tuple) -> None:
+        """Responder, on arrival: match a posted receive."""
+        qp, wr, remote_qp, payload = job
+        remote = remote_qp.nic
+        if self._refused(qp, wr, remote):
+            return
+        if remote_qp.state is not QpState.CONNECTED:
+            qp.halted = True
+            remote._reply(self, (qp, wr, WcStatus.REM_ACCESS_ERR, 0, None,
+                                 "remote QP not in connected state"))
+            return
+        rwr = remote_qp._take_recv()
+        if rwr is None:
+            # RC would RNR-retry; we park the message until a receive
+            # is posted, at which point matching resumes.
+            remote_qp._park_arrival(("send", payload, qp, wr))
+            return
+        remote._match_recv(remote_qp, rwr, "send", payload, qp, wr)
 
     def _match_recv(
         self,
@@ -629,16 +610,14 @@ class RNic:
             # data already landed one-sidedly; the receive just carries
             # the immediate and the byte count
             self.sim.call_later(
-                self.model.completion_s,
-                lambda _: dst_qp.recv_cq.push(
-                    WorkCompletion(
-                        wr_id=rwr.wr_id,
-                        status=WcStatus.SUCCESS,
-                        opcode=Opcode.RECV_RDMA_WITH_IMM,
-                        byte_len=swr.length,
-                        qp=dst_qp,
-                        imm_data=swr.imm_data,
-                    )
+                self.model.completion_s, dst_qp.recv_cq.push,
+                WorkCompletion(
+                    wr_id=rwr.wr_id,
+                    status=WcStatus.SUCCESS,
+                    opcode=Opcode.RECV_RDMA_WITH_IMM,
+                    byte_len=swr.length,
+                    qp=dst_qp,
+                    imm_data=swr.imm_data,
                 ),
             )
             return
@@ -656,31 +635,18 @@ class RNic:
             )
             dst_qp.set_error("receive buffer too small")
             src_qp.halted = True
-            self._send_control(
-                src_nic,
-                lambda _: src_nic.sim.call_later(
-                    src_nic.model.completion_s,
-                    lambda _: src_nic._complete(
-                        src_qp,
-                        swr,
-                        WcStatus.REM_INV_REQ_ERR,
-                        detail="remote receive buffer too small",
-                    ),
-                ),
-            )
+            self._reply(src_nic, (src_qp, swr, WcStatus.REM_INV_REQ_ERR, 0,
+                                  None, "remote receive buffer too small"))
             return
         rwr.local_mr.buffer.write(rwr.local_mr.offset_of(rwr.local_addr), payload)
         self.sim.call_later(
-            self.model.completion_s,
-            lambda _: dst_qp.recv_cq.push(
-                WorkCompletion(
-                    wr_id=rwr.wr_id,
-                    status=WcStatus.SUCCESS,
-                    opcode=Opcode.RECV,
-                    byte_len=len(payload),
-                    qp=dst_qp,
-                )
+            self.model.completion_s, dst_qp.recv_cq.push,
+            WorkCompletion(
+                wr_id=rwr.wr_id,
+                status=WcStatus.SUCCESS,
+                opcode=Opcode.RECV,
+                byte_len=len(payload),
+                qp=dst_qp,
             ),
         )
-        self._send_control(src_nic, src_nic._acked,
-                           (src_qp, swr, swr.length, None))
+        self._reply(src_nic, (src_qp, swr, WcStatus.SUCCESS, swr.length))

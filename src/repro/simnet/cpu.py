@@ -36,13 +36,8 @@ class Cpu:
         """Occupy one core for *seconds* (generator)."""
         if seconds < 0:
             raise ValueError(f"negative CPU time {seconds}")
-        req = self._res.request()
-        yield req
-        try:
-            yield self.sim.timeout(seconds)
-            self.busy_seconds += seconds
-        finally:
-            self._res.release(req)
+        yield from self._res.occupy(seconds)
+        self.busy_seconds += seconds
 
     def copy(self, nbytes: int):
         """Charge a memory copy of *nbytes* on one core (generator)."""

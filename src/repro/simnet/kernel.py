@@ -17,7 +17,8 @@ Design notes
 * A queue entry is ``(when, seq, fn, arg)`` and running it is one call,
   ``fn(arg)``.  Events are entries whose ``fn`` is the :func:`_fire`
   dispatcher; internal timers that only ever call one function
-  (:meth:`Simulator.call_later`) skip the event object altogether.
+  (:meth:`Simulator.call_later`, :meth:`Simulator.call_at`) skip the
+  event object altogether.
   Either kind takes its sequence number at scheduling time, so both
   interleave in one strict FIFO order per instant.
 * A failed event whose exception is never delivered to a waiting process
@@ -389,6 +390,20 @@ class Simulator:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
         heappush(self._queue, (self._now + delay, self._seq, fn, arg))
+
+    def call_at(self, when: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Run ``fn(arg)`` at the absolute simulated time *when*.
+
+        For timers whose instant is a float sum computed elsewhere (the
+        fabric folds a fixed delay onto a delivery time): the caller
+        passes the exact value a chain of ``call_later`` hops would have
+        reached, so the clock is the same with fewer entries.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when} is in the past (now {self._now})")
+        self._seq += 1
+        heappush(self._queue, (when, self._seq, fn, arg))
 
     # -- execution ---------------------------------------------------------
 

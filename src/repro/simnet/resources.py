@@ -86,9 +86,19 @@ class Resource:
             nxt.succeed()
 
     def occupy(self, duration: float):
-        """Hold one slot for *duration* simulated seconds (generator)."""
-        req = self.request()
-        yield req
+        """Hold one slot for *duration* simulated seconds (generator).
+
+        A free slot is taken synchronously: the hold costs its one
+        timeout and no grant event.  Only a request that has to queue
+        waits for :meth:`release` to grant it, in FIFO order.
+        """
+        req = Request(self)
+        if len(self._users) < self.capacity:
+            # a free slot means nobody is queued (release grants first)
+            self._users.add(req)
+        else:
+            self._waiting.append(req)
+            yield req
         try:
             yield self.sim.timeout(duration)
         finally:

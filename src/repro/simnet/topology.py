@@ -134,20 +134,19 @@ class Network:
         header_bytes: int = 0,
         on_delivered: Optional[Callable[[], None]] = None,
     ) -> Event:
-        """Send a whole message, fragmented into frames; one event fires
-        when the **last** frame is delivered.
+        """Send a whole message, fragmented into frames; the returned
+        event fires when the **last** frame is delivered.
 
-        The egress chain is computed analytically at send time (no
-        per-frame simulator events).  The *ingress* reservation is
-        deferred to the first frame's arrival: receiver-side channel
-        time is claimed in arrival order, so concurrent senders share a
-        hot receiver fairly instead of in send-call order.  Cost: two
-        internal timers per message regardless of frame count, plus the
-        returned event.
+        The event-returning face of :meth:`transmit_then`: the event is
+        triggered from the delivery timer, so a message costs its
+        ingress claim, that timer and the event itself.  A message the
+        fabric eats never fires.
         """
         done = Event(self.sim)
-        if self._carry(src, dst, nbytes, frame_size, header_bytes,
-                       done.succeed, None) and on_delivered is not None:
+        if self.transmit_then(src, dst, nbytes, done.succeed, None,
+                              frame_size=frame_size,
+                              header_bytes=header_bytes) \
+                and on_delivered is not None:
             done.add_callback(lambda _e: on_delivered())
         return done
 
@@ -158,31 +157,27 @@ class Network:
         nbytes: int,
         fn: Callable[[Any], None],
         arg: Any = None,
+        frame_size: Optional[int] = None,
         header_bytes: int = 0,
+        after: float = 0.0,
     ) -> bool:
-        """:meth:`transmit_message` for callers that never wait on the
-        event: ``fn(arg)`` runs in exactly the queue slot (same instant,
-        same sequence number) where the event would have fired, without
-        building it.  The NIC's data path sends every message this way.
-        Returns False if the fabric ate the message (``fn`` never runs).
+        """Send a whole message, fragmented into frames; ``fn(arg)``
+        runs *after* seconds past the moment its last frame has left the
+        receiver's ingress.  The fabric's one transmit path.
+
+        The egress chain is computed analytically at send time (no
+        per-frame simulator events).  The *ingress* reservation is
+        deferred to the first frame's arrival: receiver-side channel
+        time is claimed in arrival order, so concurrent senders share a
+        hot receiver fairly instead of in send-call order.  The claim
+        then schedules ``fn`` itself, at ``(now + (last - now)) +
+        after``: the very float a delivery hop followed by an *after*
+        timer would reach, in two queue entries per message whatever
+        its frame count (one for loopback).  Returns False if the
+        fabric ate the message (``fn`` never runs).
         """
-        return self._carry(src, dst, nbytes, None, header_bytes,
-                           self._land, (fn, arg))
-
-    def _land(self, job: tuple) -> None:
-        # the delivery hop: queued at the last frame's ingress finish,
-        # where transmit_message's event is triggered
-        self.sim.call_later(0.0, job[0], job[1])
-
-    def _carry(self, src: Host, dst: Host, nbytes: int,
-               frame_size: Optional[int], header_bytes: int,
-               then: Callable[[Any], None], arg: Any) -> bool:
-        """Account and time one message; ``then(arg)`` runs when its last
-        frame has left the receiver's ingress.  False if the fabric ate
-        it (``then`` never runs)."""
         if nbytes < 0:
             raise ValueError(f"negative message size {nbytes}")
-        sim = self.sim
         if (
             self.fault_filter is not None
             and src is not dst
@@ -195,48 +190,50 @@ class Network:
             return False
         frame_size = frame_size or self.config.frame_size
         nframes = max(1, -(-nbytes // frame_size))
-        wire_bytes = nbytes + nframes * header_bytes
-        self.bytes_carried += wire_bytes
+        self.bytes_carried += nbytes + nframes * header_bytes
         self.frames_carried += nframes
+        sim = self.sim
+        now = sim.now
         if src is dst:
-            finish = src.loopback.reserve(nbytes, earliest=sim.now)
-            sim.call_later(finish - sim.now, then, arg)
+            finish = src.loopback.reserve(nbytes, earliest=now)
+            sim.call_at((now + (finish - now)) + after, fn, arg)
+            return True
+        src_rack = self.rack_of(src)
+        dst_rack = self.rack_of(dst)
+        base = self.one_way_base_delay
+        if src_rack is dst_rack:
+            src_rack = dst_rack = None
         else:
-            src_rack = self.rack_of(src)
-            dst_rack = self.rack_of(dst)
-            cross_rack = src_rack is not dst_rack
-            base = self.one_way_base_delay
-            if cross_rack:
-                # two extra hops: ToR -> spine -> ToR
-                base += 2 * self.config.link_prop_delay_s + \
-                    self.config.switch_latency_s
-            frames = []
-            remaining = nbytes
-            for _ in range(nframes):
-                payload = min(frame_size, remaining)
-                remaining -= payload
-                frame_bytes = payload + header_bytes
-                # sender-side chain: host egress, then the rack uplink
-                out_done = src.egress.reserve(frame_bytes, earliest=sim.now)
-                if cross_rack:
-                    out_done = src_rack.up.reserve(frame_bytes,
-                                                   earliest=out_done)
-                frames.append((frame_bytes, out_done))
-            first_arrival = frames[0][1] + base
-
-            def claim_ingress(_arg):
-                # receiver-side chain, claimed in arrival order: the
-                # rack downlink (cross-rack only), then host ingress
-                last = sim.now
-                for frame_bytes, out_done in frames:
-                    at = out_done + base
-                    if cross_rack:
-                        at = dst_rack.down.reserve(frame_bytes, earliest=at)
-                    last = dst.ingress.reserve(frame_bytes, earliest=at)
-                sim.call_later(last - sim.now, then, arg)
-
-            sim.call_later(first_arrival - sim.now, claim_ingress)
+            # two extra hops: ToR -> spine -> ToR
+            base += 2 * self.config.link_prop_delay_s + \
+                self.config.switch_latency_s
+        # sender-side chain: host egress, then the rack uplink
+        frames = []
+        remaining = nbytes
+        for _ in range(nframes):
+            payload = min(frame_size, remaining)
+            remaining -= payload
+            frame_bytes = payload + header_bytes
+            out_done = src.egress.reserve(frame_bytes, earliest=now)
+            if src_rack is not None:
+                out_done = src_rack.up.reserve(frame_bytes,
+                                               earliest=out_done)
+            frames.append((frame_bytes, out_done + base))
+        sim.call_later(frames[0][1] - now, self._claim_ingress,
+                       (dst, dst_rack, frames, fn, arg, after))
         return True
+
+    def _claim_ingress(self, job: tuple) -> None:
+        """The first frame reached the receiver: claim its side of the
+        chain in arrival order, the rack downlink (cross-rack only) and
+        then host ingress, and schedule the delivery."""
+        dst, dst_rack, frames, fn, arg, after = job
+        now = last = self.sim.now
+        for frame_bytes, at in frames:
+            if dst_rack is not None:
+                at = dst_rack.down.reserve(frame_bytes, earliest=at)
+            last = dst.ingress.reserve(frame_bytes, earliest=at)
+        self.sim.call_at((now + (last - now)) + after, fn, arg)
 
     def aggregate_bandwidth_bps(self, since: float = 0.0) -> float:
         """Total payload bandwidth carried since *since* (bits/s)."""

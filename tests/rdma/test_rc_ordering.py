@@ -1,5 +1,8 @@
 """RC responder ordering: a WR behind one the responder never executed
-does not execute either, and completes flushed."""
+does not execute either, and completes flushed.  A responder that dies
+before it executes a WR does not execute it either."""
+
+import pytest
 
 from repro.rdma.types import Opcode, WcStatus
 from repro.rdma.wr import SendWR
@@ -168,3 +171,48 @@ def test_fault_free_batch_places_writes_in_post_order():
     # the READ posted behind the writes saw the last of them
     assert pair.client_mr.buffer.read(0, 8) == last
     assert not pair.qp.halted
+
+
+def _kill_window_wr(pair, opcode):
+    """A signaled WR of *opcode* at remote offset 0; the remote word
+    holds ``b"R" * 8`` and the local buffer is zero."""
+    pair.server_mr.buffer.write(0, b"R" * 8)
+    if opcode is Opcode.RDMA_WRITE:
+        return write_wr(pair, 0, b"W" * 8, wr_id=1, signaled=True)
+    return SendWR(
+        opcode=opcode, wr_id=1,
+        local_mr=pair.client_mr, local_addr=pair.client_mr.addr,
+        length=8, remote_addr=pair.server_mr.addr,
+        rkey=pair.server_mr.rkey, signaled=True,
+        compare=int.from_bytes(b"R" * 8, "little"), swap=7,
+    )
+
+
+@pytest.mark.parametrize("opcode", [Opcode.RDMA_WRITE, Opcode.RDMA_READ,
+                                    Opcode.ATOMIC_CAS])
+def test_responder_killed_before_its_dma_never_executes(opcode):
+    """The responder dies after the request has arrived but before the
+    NIC has run the DMA or atomic: nothing executes, and the WR times
+    out instead of completing SUCCESS."""
+    world = make_world()
+    model, net = world.nics[0].model, world.net
+    frame = model.frame_header_bytes + 64
+    # about when the request's last frame leaves the responder's ingress ...
+    arrival = (model.doorbell_s + model.wqe_processing_s
+               + net.one_way_base_delay
+               + 2 * net.host(0).egress.serialization_time(frame))
+    # ... and the DMA (the shortest window, 0.3 us) has not started
+    kill_at = arrival + model.remote_dma_s / 2
+
+    def scenario():
+        pair = yield from connected_pair(world)
+        pair.qp.post_send(_kill_window_wr(pair, opcode))
+        yield world.sim.timeout(kill_at)
+        pair.server_nic.kill()
+        (wc,) = yield from pair.client_cq.wait_for(1)
+        return pair, wc
+
+    pair, wc = run(world, scenario())
+    assert wc.status is WcStatus.RETRY_EXC_ERR
+    assert landed(pair, 0) == b"R" * 8
+    assert pair.client_mr.buffer.read(0, 8) == bytes(8)

@@ -1,7 +1,7 @@
 """The kernel's bare-callback entries and their ordering contract.
 
 Queue entries are ``(when, seq, fn, arg)``; events and
-``call_later`` timers draw sequence numbers from one counter, so
+``call_later``/``call_at`` timers draw sequence numbers from one counter, so
 everything scheduled for one instant runs in strict scheduling order
 whichever form it took.
 """
@@ -62,6 +62,25 @@ def test_negative_call_later_delay_raises():
     sim = Simulator()
     with pytest.raises(ValueError):
         sim.call_later(-1e-9, lambda _: None)
+    assert sim.peek() == float("inf")
+
+
+def test_call_at_runs_at_the_exact_time_in_fifo_order():
+    sim = Simulator()
+    order = []
+    when = (0.1 + 0.2) + 0.3  # a chained float sum, not 0.6
+    assert when != 0.6
+    sim.call_later(0.1, lambda _: sim.call_at(when, order.append, "first"))
+    sim.call_later(0.2, lambda _: sim.call_at(when, order.append, "second"))
+    sim.run()
+    assert order == ["first", "second"] and sim.now == when
+
+
+def test_call_at_in_the_past_raises():
+    sim = Simulator()
+    sim.run(until=1.0)
+    with pytest.raises(ValueError):
+        sim.call_at(0.5, lambda _: None)
     assert sim.peek() == float("inf")
 
 
